@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-core bench-smoke bench-gate bench-json bench-save bench-diff profile golden stress fuzz-smoke loadgen loadgen-smoke serve-smoke portfolio-smoke stream-smoke streamgen
+.PHONY: check build vet test race test-widths bench-smoke bench-gate bench-json bench-save bench-diff profile golden stress fuzz-smoke loadgen loadgen-smoke serve-smoke portfolio-smoke stream-smoke streamgen
 
 check: build vet race bench-smoke loadgen-smoke portfolio-smoke serve-smoke stream-smoke
 
@@ -21,16 +21,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The concurrency-heavy packages (barrier window evaluation, in-run probe
-# pool, shared cross-request state, anytime cancellation) re-run fresh
-# under the race detector at GOMAXPROCS 1 and 4: serial (pools degenerate)
-# and wide (fan-outs real), with the golden determinism fixture checked at
-# both widths — parallelism must be invisible in the output.
-race-core:
-	for gmp in 1 4; do \
+# The whole test suite, fresh, at GOMAXPROCS 1, 2 and 4: every output and
+# every reported counter must be identical at any core count, and the
+# concurrent layers (ScheduleDual's two starts, serve shards, the experiment
+# pool, portfolio racing) must hold up serial and wide.
+test-widths:
+	for gmp in 1 2 4; do \
 		echo "=== GOMAXPROCS=$$gmp ==="; \
-		GOMAXPROCS=$$gmp $(GO) test -run TestGoldenDeterminism -count=1 . && \
-		GOMAXPROCS=$$gmp $(GO) test -race -count=1 ./internal/core/... ./internal/serve/... || exit 1; \
+		GOMAXPROCS=$$gmp $(GO) test -count=1 ./... || exit 1; \
 	done
 
 # A single iteration of each mid-scale scheduler benchmark: catches gross
@@ -113,8 +111,7 @@ bench-diff:
 	benchstat $(OLD) $(NEW)
 
 # CPU and heap profiles of the mid-scale scheduler benchmarks plus the
-# 100-task cold case that drives the probe-pool/pruning work (DESIGN.md
-# §13), for `go tool pprof profiles/locmps.test profiles/cpu.pprof`.
+# 100-task cold case, for `go tool pprof profiles/locmps.test profiles/cpu.pprof`.
 # PROFILE_BENCH narrows the capture to one case, e.g.
 # `make profile PROFILE_BENCH='BenchmarkLoCMPS100Tasks128Procs$$'`.
 PROFILE_BENCH ?= BenchmarkLoCMPS(30Tasks16Procs|50Tasks64Procs|100Tasks128Procs)$$
@@ -136,11 +133,12 @@ SEED ?= 1
 stress:
 	$(GO) run ./cmd/stress -n $(N) -seed $(SEED)
 
-# Short fuzz passes over each fuzz target: the graph/format parsers and
-# the audit oracle. ~30s total.
+# Short fuzz passes over each fuzz target: the graph/format parsers, the
+# wire decoder of POST /v1/schedule and the audit oracle. ~35s total.
 FUZZTIME ?= 7s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzReadSTG -fuzztime $(FUZZTIME) ./internal/formats
 	$(GO) test -run '^$$' -fuzz FuzzParseTGFF -fuzztime $(FUZZTIME) ./internal/formats
+	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzAudit -fuzztime $(FUZZTIME) ./internal/audit

@@ -77,41 +77,6 @@ func TestFacadeTopologiesAndApps(t *testing.T) {
 	}
 }
 
-// TestFacadeParallelSchedulerBitIdentical: the workers-pinned constructor
-// must expose its search metrics and reproduce the default scheduler's
-// schedule bit for bit — the pools and the pruning bound never change what
-// is scheduled.
-func TestFacadeParallelSchedulerBitIdentical(t *testing.T) {
-	p := locmps.DefaultSynthParams()
-	p.Tasks = 20
-	p.Seed = 7
-	g, err := locmps.Synthetic(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := locmps.Cluster{P: 16, Bandwidth: 12.5e6, Overlap: true}
-	base, err := locmps.NewLoCMPS().Schedule(g, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alg := locmps.NewLoCMPSParallel(4)
-	s, err := alg.Schedule(g, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Makespan != base.Makespan {
-		t.Errorf("parallel makespan %v != serial %v", s.Makespan, base.Makespan)
-	}
-	for i := range s.Placements {
-		if s.Placements[i].Start != base.Placements[i].Start {
-			t.Errorf("task %d starts differ: %v vs %v", i, s.Placements[i].Start, base.Placements[i].Start)
-		}
-	}
-	if _, ok := locmps.SearchMetrics(alg); !ok {
-		t.Error("parallel scheduler does not expose search metrics")
-	}
-}
-
 func TestFacadeStatsAndFit(t *testing.T) {
 	p := locmps.DefaultSynthParams()
 	p.Tasks = 10

@@ -132,16 +132,6 @@ func RunCase(c Case) *Failure {
 	if diff := DiffSchedules(tg, optimized, reference); diff != "" {
 		return &Failure{c, "differential", diff}
 	}
-	// The intra-search pools (concurrent window evaluation, in-run probe
-	// pool) and the dominance-pruning bound must also be invisible in the
-	// output, whatever the host's GOMAXPROCS.
-	parallel, err := core.NewParallel(4).Schedule(tg, cl)
-	if err != nil {
-		return &Failure{c, "run:parallel", err.Error()}
-	}
-	if diff := DiffSchedules(tg, parallel, reference); diff != "" {
-		return &Failure{c, "differential:parallel", diff}
-	}
 	// Every registry algorithm (plus the M-HEFT extension) must produce a
 	// schedule the oracle accepts, including its recorded accounting.
 	for _, s := range sched.Extended() {

@@ -63,31 +63,29 @@ func auditClean(t *testing.T, tg *model.TaskGraph, res *core.AnytimeResult, labe
 }
 
 // TestAnytimeMaxIterationsDeterministic re-runs every iteration budget —
-// serially and with the concurrent window barrier forced on — and demands
-// bit-identical schedules. Under `go test -race` this also exercises the
-// barrier's memo insertion against truncated searches.
+// with the paper's candidate window and a widened one — and demands
+// bit-identical schedules and truncation flags.
 func TestAnytimeMaxIterationsDeterministic(t *testing.T) {
 	tg, cl := buildGraph(t, 11, 0.5), anytimeCluster()
 	ctx := context.Background()
-	for _, workers := range []int{-1, 4} {
+	for _, frac := range []float64{0, 0.5} {
 		for _, iters := range []int{1, 2, 4, 0} {
 			alg := core.New()
-			alg.TopFraction = 0.5
-			alg.SpeculativeWorkers = workers
+			alg.TopFraction = frac
 			b := core.Budget{MaxIterations: iters}
 			first, err := alg.ScheduleBudget(ctx, tg, cl, b)
 			if err != nil {
-				t.Fatalf("workers=%d iters=%d: %v", workers, iters, err)
+				t.Fatalf("frac=%v iters=%d: %v", frac, iters, err)
 			}
 			second, err := alg.ScheduleBudget(ctx, tg, cl, b)
 			if err != nil {
-				t.Fatalf("workers=%d iters=%d (repeat): %v", workers, iters, err)
+				t.Fatalf("frac=%v iters=%d (repeat): %v", frac, iters, err)
 			}
 			label := "budget repeat"
 			sameSchedule(t, first.Schedule, second.Schedule, label)
 			if first.Truncated != second.Truncated {
-				t.Errorf("workers=%d iters=%d: truncated drifted %v vs %v",
-					workers, iters, first.Truncated, second.Truncated)
+				t.Errorf("frac=%v iters=%d: truncated drifted %v vs %v",
+					frac, iters, first.Truncated, second.Truncated)
 			}
 			auditClean(t, tg, first, label)
 		}
@@ -95,26 +93,26 @@ func TestAnytimeMaxIterationsDeterministic(t *testing.T) {
 }
 
 // TestAnytimeBudgetsAreSerialPrefixes pins the semantics that make
-// MaxIterations a useful knob: a budgeted schedule with the barrier on is
-// bit-identical to the serial budgeted schedule (truncation commutes with
-// concurrent window evaluation), and the unbounded budget is exactly
-// Schedule.
+// MaxIterations a useful knob: a budgeted schedule is a pure function of
+// the budget — the pool-recycled and the reference (memo and resume off)
+// configurations agree bit for bit under every budget, so truncation
+// commutes with the search's accelerations — and the unbounded budget is
+// exactly Schedule.
 func TestAnytimeBudgetsAreSerialPrefixes(t *testing.T) {
 	tg, cl := buildGraph(t, 11, 0.5), anytimeCluster()
 	ctx := context.Background()
 	for _, iters := range []int{1, 3, 0} {
-		serial, spec := core.New(), core.New()
-		serial.TopFraction, spec.TopFraction = 0.5, 0.5
-		serial.SpeculativeWorkers, spec.SpeculativeWorkers = -1, 4
-		a, err := serial.ScheduleBudget(ctx, tg, cl, core.Budget{MaxIterations: iters})
+		fast, ref := core.New(), core.NewReference()
+		fast.TopFraction, ref.TopFraction = 0.5, 0.5
+		a, err := fast.ScheduleBudget(ctx, tg, cl, core.Budget{MaxIterations: iters})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := spec.ScheduleBudget(ctx, tg, cl, core.Budget{MaxIterations: iters})
+		b, err := ref.ScheduleBudget(ctx, tg, cl, core.Budget{MaxIterations: iters})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameSchedule(t, a.Schedule, b.Schedule, "serial vs barrier under budget")
+		sameSchedule(t, a.Schedule, b.Schedule, "accelerated vs reference under budget")
 	}
 	alg := core.New()
 	full, err := alg.Schedule(tg, cl)

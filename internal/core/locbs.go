@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -72,75 +71,7 @@ func LoCBS(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config) (*s
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return runPlacer(tg, cluster, np, cfg.withDefaults(), Preset{}, sc, 0, runOpts{})
-}
-
-// runOpts carries the per-run performance knobs of one placement run. Both
-// are bit-identity-preserving: probeWorkers only changes where candidate
-// probes execute, and pruneBound only aborts runs whose completed makespan
-// provably could not beat the bound — callers treat an aborted run as "not
-// evaluated", never as a result.
-type runOpts struct {
-	// probeWorkers >= 2 fans the surviving tail of each task's candidate
-	// slot scan out over the probe pool (probe.go); below 2 the scan stays
-	// serial. Ignored under AdaptiveWidth, whose width search interleaves
-	// np mutations with probing.
-	probeWorkers int
-	// pruneBound > 0 arms the partial lower bound of run: the run aborts
-	// with errPruned as soon as the bound proves the final makespan must
-	// exceed pruneBound. Ignored under AdaptiveWidth (the residual-bound
-	// sweep needs the final widths).
-	pruneBound float64
-}
-
-// errPruned aborts a placement run whose partial lower bound proved the
-// final makespan cannot beat the caller's pruneBound. It is a control-flow
-// sentinel, not a failure: the aborted run's scratch trace is left invalid
-// (exactly like an errored run) and the caller counts the run as skipped.
-var errPruned = errors.New("core: placement run pruned by lower bound")
-
-// placeStats reports how much of a placement run was served by the resume
-// path (tasks replayed from the trace prefix, steps rolled back off the
-// chart, whether any prefix was reused), plus what the probe pool and the
-// prune bound did with the run.
-type placeStats struct {
-	replayed   int
-	rolledBack int
-	resumed    bool
-	// pruned is the number of task placements an errPruned abort skipped
-	// (0 for completed runs).
-	pruned int
-	// probeFanouts counts candidate scans that engaged the probe pool;
-	// probeSlots accumulates the slots those fan-outs evaluated.
-	probeFanouts int
-	probeSlots   int
-}
-
-// runPlacerPooled is runPlacer with its own pool-drawn scratch, for callers
-// running placements concurrently with the main search — the speculative
-// candidate evaluation of LoC-MPS fans these out over the bounded worker
-// pool. Inputs must already be validated, exactly as for runPlacer. A
-// non-zero resumeKey lets the drawn scratch resume from a trace it recorded
-// earlier in the same search (pool recycling makes that the common case
-// once speculation has run a few batches).
-func runPlacerPooled(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config, preset Preset, resumeKey uint64, opts runOpts) (*schedule.Schedule, placeStats, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	s, err := runPlacer(tg, cluster, np, cfg, preset, sc, resumeKey, opts)
-	return s, sc.lastPlaceStats(), err
-}
-
-// lastPlaceStats snapshots the per-run counters the most recent runPlacer
-// call left on the scratch.
-func (sc *placerScratch) lastPlaceStats() placeStats {
-	return placeStats{
-		replayed:     sc.lastReplayed,
-		rolledBack:   sc.lastRolledBack,
-		resumed:      sc.lastResumed,
-		pruned:       sc.lastPruned,
-		probeFanouts: sc.lastProbeFanouts,
-		probeSlots:   sc.lastProbeSlots,
-	}
+	return runPlacer(tg, cluster, np, cfg.withDefaults(), Preset{}, sc, 0)
 }
 
 // runPlacer executes one pre-validated LoCBS run against pooled scratch:
@@ -157,13 +88,12 @@ func (sc *placerScratch) lastPlaceStats() placeStats {
 // see run), the chart is rolled back to the first divergent step, and only
 // the suffix is searched. Schedules are bit-identical to a from-scratch run
 // either way.
-func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config, preset Preset, sc *placerScratch, resumeKey uint64, opts runOpts) (*schedule.Schedule, error) {
+func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config, preset Preset, sc *placerScratch, resumeKey uint64) (*schedule.Schedule, error) {
 	tr := &sc.trace
 	record := resumeKey != 0 && !cfg.AdaptiveWidth
 	resume := record && tr.matches(resumeKey, tg, cluster, cfg)
 	sc.preparePlacer(tg.N(), cluster.P, cfg.Backfill, resume)
 	sc.lastReplayed, sc.lastRolledBack, sc.lastResumed = 0, 0, false
-	sc.lastPruned, sc.lastProbeFanouts, sc.lastProbeSlots = 0, 0, 0
 	// The trace is invalid while the run mutates the chart and the trace's
 	// own step records; a successful completion re-validates it below.
 	tr.key = 0
@@ -179,13 +109,6 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 		factor:  preset.NodeFactor,
 		resume:  resume,
 		record:  record,
-	}
-	if !cfg.AdaptiveWidth {
-		e.probeWorkers = opts.probeWorkers
-		e.pruneBound = opts.pruneBound
-	}
-	if record {
-		e.shareEpoch = resumeKey
 	}
 	if record {
 		// Shares cached by earlier runs of the same search stay warm; a
@@ -284,19 +207,6 @@ type placer struct {
 	// resume replays the scratch trace's placement prefix; record appends
 	// this run's steps to the trace (both set by runPlacer).
 	resume, record bool
-
-	// probeWorkers/pruneBound are the run's performance knobs (runOpts),
-	// already gated on AdaptiveWidth; shareEpoch is the search's resume key
-	// (0 outside a recorded search), stamped onto arena cost buffers so
-	// their share caches stay warm within a search.
-	probeWorkers int
-	pruneBound   float64
-	shareEpoch   uint64
-	// rb/lbNow are the pruning state of a prune-bounded run: the
-	// zero-communication residual bottom levels and the running partial
-	// lower bound (see initBound). rb is nil when pruning is off.
-	rb    []float64
-	lbNow float64
 }
 
 func intsEqual(a, b []int) bool {
@@ -370,14 +280,6 @@ func (e *placer) run() error {
 	tr := &e.sc.trace
 	step := 0
 	fast := e.resume
-
-	if e.pruneBound > 0 {
-		e.initBound()
-		if e.lbNow > e.pruneBound+schedule.Eps {
-			e.sc.lastPruned = remaining
-			return errPruned
-		}
-	}
 
 	for done := 0; done < remaining; done++ {
 		// Highest priority wins, ties broken by lower task id; the scan
@@ -456,14 +358,6 @@ func (e *placer) run() error {
 					ready = append(ready, se.Other)
 				}
 			}
-		}
-		// The bound check runs on replayed and searched steps alike, so a
-		// resumed run prunes at exactly the same placement step as a
-		// from-scratch run would (the committed decisions are identical).
-		if e.rb != nil && e.updateBound(tp) {
-			e.sc.lastPruned = remaining - done - 1
-			e.sc.readyBuf = ready[:0]
-			return errPruned
 		}
 	}
 	if fast && step < len(tr.order) {
@@ -565,10 +459,6 @@ func (e *placer) place(tp int) (attempt, error) {
 	endsFrom := sort.SearchFloat64s(ends, maxParentFt)
 	minF := e.minFactor()
 
-	// The serial scan probes through a probeCtx view over the scratch's own
-	// buffers; probe workers get disjoint arena-backed contexts (probe.go).
-	pc := e.sc.serialProbeCtx()
-
 	var best attempt
 	bestOK := false
 	for _, n := range widths {
@@ -578,28 +468,13 @@ func (e *placer) place(tp int) (attempt, error) {
 		// list is walked with a resumable cursor: -1 marks an unprobed
 		// processor, whose first probe binary-searches instead of scanning
 		// the whole list up to tau (tasks place late, lists are deep).
-		pc.cur = resetIntsTo(pc.cur, e.cluster.P, -1)
+		e.sc.posBuf = resetIntsTo(e.sc.posBuf, e.cluster.P, -1)
 		tau, idx := maxParentFt, endsFrom
-		serial := 0
 		for {
 			if bestOK && tau+etFastest >= best.finish {
 				break // later slots can only finish later
 			}
-			if e.probeWorkers >= 2 && serial >= probeSerialSpan && idx < len(ends) {
-				// The scan survived the serial prefix, so this is one of the
-				// long boundary walks worth parallelizing: hand the rest of
-				// the width to the probe pool. Its serial in-order fold
-				// replays exactly the rules below, so best/bestOK come back
-				// bit-identical to continuing here.
-				var err error
-				best, bestOK, err = e.probeTail(tp, tau, idx, n, et, etFastest, parents, maxParentFt, best, bestOK)
-				if err != nil {
-					return attempt{}, err
-				}
-				break
-			}
-			serial++
-			att, ok, err := e.tryAt(pc, tp, tau, n, et, parents, maxParentFt)
+			att, ok, err := e.tryAt(tp, tau, n, et, parents, maxParentFt)
 			if err != nil {
 				return attempt{}, err
 			}
@@ -622,7 +497,6 @@ func (e *placer) place(tp int) (attempt, error) {
 			idx++
 		}
 	}
-	e.sc.syncSerialProbeCtx(pc)
 	if !bestOK {
 		return attempt{}, fmt.Errorf("core: could not place task %d (np=%d) on P=%d", tp, e.np[tp], e.cluster.P)
 	}
@@ -748,10 +622,8 @@ func sortByScore(pref []int32, score []float64) {
 // tryAt evaluates placing tp in the idle slot beginning at tau. Because the
 // redistribution time depends on the chosen subset and the subset must stay
 // idle until the (redistribution-delayed) finish time, the search iterates
-// to a fixed point, tightening the required idle window each round. All
-// mutable state goes through pc, so concurrent probes of the same immutable
-// chart are race-free as long as each owns its probeCtx.
-func (e *placer) tryAt(pc *probeCtx, tp int, tau float64, n int, et float64, parents []model.AdjEdge, maxParentFt float64) (attempt, bool, error) {
+// to a fixed point, tightening the required idle window each round.
+func (e *placer) tryAt(tp int, tau float64, n int, et float64, parents []model.AdjEdge, maxParentFt float64) (attempt, bool, error) {
 	// Each fixed-point round takes the first n sufficiently-idle processors
 	// in preference order. A slow node in the subset stretches the whole
 	// task (it runs at the slowest member's pace), which almost always
@@ -761,19 +633,18 @@ func (e *placer) tryAt(pc *probeCtx, tp int, tau float64, n int, et float64, par
 	// preference order only until the subset is filled, so a task needing
 	// n processors rarely touches more than the first ~n chart columns.
 	// Skipped processors keep valid cursors because probe times never
-	// decrease within a width (per probeCtx: a probe worker only ever sees
-	// ascending slot times, see probeTail). The probe itself is freeAt with
-	// the binary search replaced by the resumable per-processor cursor.
+	// decrease within a width. The probe itself is freeAt with the binary
+	// search replaced by the resumable per-processor cursor.
 	pref := e.pref
 	ch := &e.sc.chart
-	cur := pc.cur
+	cur := e.sc.posBuf
 	backfill := ch.backfill
-	free := pc.free[:0]
+	free := e.sc.freeBuf[:0]
 	next := 0 // next preference-order processor not yet probed
 
 	need := tau + et // minimal idle window; grows as comm delays surface
 	for round := 0; round < 4; round++ {
-		procs := pc.procs[:0]
+		procs := e.sc.procBuf[:0]
 		// The subset is feasible iff its least idle-until covers the
 		// finish time, so only the minimum needs tracking.
 		minUntil := infinity
@@ -831,14 +702,14 @@ func (e *placer) tryAt(pc *probeCtx, tp int, tau float64, n int, et float64, par
 				}
 			}
 		}
-		pc.free, pc.procs = free, procs
+		e.sc.freeBuf, e.sc.procBuf = free, procs
 		if len(procs) < n {
 			return attempt{}, false, nil
 		}
 		// Canonical block-cyclic layout order.
 		slices.Sort(procs)
 
-		att, err := e.timeOn(pc, tau, et, parents, maxParentFt, procs)
+		att, err := e.timeOn(tau, et, parents, maxParentFt, procs)
 		if err != nil {
 			return attempt{}, false, err
 		}
@@ -856,9 +727,9 @@ func (e *placer) tryAt(pc *probeCtx, tp int, tau float64, n int, et float64, par
 // timeOn computes start/finish and communication charges for running the
 // task being placed on the given processor set with the slot opening at
 // tau. The charges depend only on the processor set (not on tau), so they
-// are memoized in pc's ct memo across the candidate-time probes.
-func (e *placer) timeOn(pc *probeCtx, tau, et float64, parents []model.AdjEdge, maxParentFt float64, procs []int) (attempt, error) {
-	m := pc.ct
+// are memoized in the scratch's ct memo across the candidate-time probes.
+func (e *placer) timeOn(tau, et float64, parents []model.AdjEdge, maxParentFt float64, procs []int) (attempt, error) {
+	m := &e.sc.ct
 	ph := procsHash(procs)
 	slot := -1
 	for i := 0; i < m.count; i++ {
@@ -880,7 +751,7 @@ func (e *placer) timeOn(pc *probeCtx, tau, et float64, parents []model.AdjEdge, 
 		comm := m.comm[slot][:0]
 		maxCt, sumCt, rct := 0.0, 0.0, 0.0
 		for _, pe := range parents {
-			ct := e.edgeCost(pc, pe.Other, pe.Volume, procs, ph)
+			ct := e.edgeCost(pe.Other, pe.Volume, procs, ph)
 			comm = append(comm, ct)
 			if ct > maxCt {
 				maxCt = ct
@@ -949,10 +820,10 @@ func (e *placer) minFactor() float64 {
 }
 
 // edgeCost is the locality-aware redistribution time from parent's group to
-// the candidate subset, memoized by complete content in pc's cost-cache
-// levels (the search re-asks the same layout pairs run after run). procsHash
+// the candidate subset, memoized by complete content in the scratch's cost
+// cache (the search re-asks the same layout pairs run after run). procsHash
 // is the caller's digest of procs, computed once per candidate subset.
-func (e *placer) edgeCost(pc *probeCtx, par int, vol float64, procs []int, procsHash uint64) float64 {
+func (e *placer) edgeCost(par int, vol float64, procs []int, procsHash uint64) float64 {
 	if vol == 0 {
 		return 0
 	}
@@ -961,28 +832,22 @@ func (e *placer) edgeCost(pc *probeCtx, par int, vol float64, procs []int, procs
 		return 0 // same layout, nothing moves
 	}
 	h := costHash(procsHash, vol, e.rm.BlockBytes, e.rm.Bandwidth, src)
-	if c, ok := pc.costs.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
+	costs := &e.sc.costCache
+	if c, ok := costs.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
 		return c
 	}
-	// Fallback levels behind the writable L1: the serial scan's cache
-	// (frozen while a fan-out is in flight; nil on the serial path, whose
-	// L1 it is) and the read-only cross-worker snapshot installed by
-	// Worker.UseShared for this (graph, cluster) content. Hits are promoted
-	// into the live L1 so repeats stay one probe.
-	if rd := pc.costRead; rd != nil {
-		if c, ok := rd.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
-			pc.costs.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
-			return c
-		}
-	}
-	if sh := pc.costShared; sh != nil {
+	// Fallback behind the writable cache: the read-only cross-worker
+	// snapshot installed by Worker.UseShared for this (graph, cluster)
+	// content. Hits are promoted into the live cache so repeats stay one
+	// probe.
+	if sh := e.sc.costShared; sh != nil {
 		if c, ok := sh.lookup(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs); ok {
-			pc.costs.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
+			costs.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
 			return c
 		}
 	}
-	c := e.rm.FastCostBuf(vol, src, procs, pc.costBuf)
-	pc.costs.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
+	c := e.rm.FastCostBuf(vol, src, procs, e.sc.costBuf)
+	costs.store(h, vol, e.rm.BlockBytes, e.rm.Bandwidth, src, procs, c)
 	return c
 }
 

@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,7 +11,6 @@ import (
 
 	"locmps/internal/graph"
 	"locmps/internal/model"
-	"locmps/internal/par"
 	"locmps/internal/schedule"
 )
 
@@ -64,32 +61,6 @@ type LoCMPS struct {
 	// bit-identical either way; the switch exists for ablation, tests and
 	// the reference configuration benchmarks are baselined against.
 	DisableResume bool
-	// SpeculativeWorkers bounds the concurrent evaluation of the §III.C
-	// candidate window: every top-fraction candidate's vector (the
-	// eventual winner's included) is LoCBS-evaluated concurrently on the
-	// shared bounded pool, and only after that barrier is the
-	// minimum-concurrency-ratio winner chosen by the usual strict total
-	// order — which never consults the evaluations, so schedules are
-	// bit-identical to the serial search. 0 selects one worker per CPU;
-	// values below 2 (including a single-CPU default) disable the
-	// concurrent evaluation, which changes only where LoCBS runs execute,
-	// never what is scheduled.
-	SpeculativeWorkers int
-	// ProbeWorkers bounds the probe pool inside a single LoCBS run: the
-	// candidate-slot scan of each task placement fans its surviving tail
-	// out over this many workers and folds the results back in slot order
-	// (see probe.go), so schedules stay bit-identical to the serial scan.
-	// 0 selects one worker per CPU; values below 2 keep the scan serial.
-	// The pool accelerates the main path's placement runs — window runs
-	// already executing concurrently under SpeculativeWorkers probe
-	// serially, so the two pools never multiply into specWorkers ×
-	// probeWorkers goroutines.
-	ProbeWorkers int
-	// DisablePruning turns off the partial-lower-bound abort of
-	// speculative window runs. Schedules are bit-identical either way — a
-	// pruned run only costs a memo warm, never a decision — so the switch
-	// exists for ablation and tests.
-	DisablePruning bool
 
 	// mu guards stats, the only mutable state on the instance.
 	mu sync.Mutex
@@ -99,84 +70,8 @@ type LoCMPS struct {
 
 // SearchStats describes the work done by one Schedule invocation — useful
 // when studying how the bounded look-ahead explores the allocation space.
-type SearchStats struct {
-	// OuterIterations counts repeat-until rounds (Algorithm 1 steps 5-40).
-	OuterIterations int
-	// LookAheadSteps counts inner look-ahead iterations across all rounds.
-	LookAheadSteps int
-	// LoCBSRuns counts placement-engine invocations (memo hits excluded,
-	// speculative runs included).
-	LoCBSRuns int
-	// Commits counts rounds that improved the committed best schedule.
-	Commits int
-	// Marks counts entry points marked as bad starting points.
-	Marks int
-	// CacheHits counts search-path allocation vectors served from the memo
-	// table instead of a fresh placement run.
-	CacheHits int
-	// CacheMisses counts search-path memo lookups that had to run LoCBS.
-	CacheMisses int
-	// WindowRuns counts placement runs executed concurrently at the
-	// §III.C window barrier, the eventual winner's included. Zero when
-	// concurrent window evaluation is off (fewer than two workers, memo
-	// disabled, or single-candidate windows).
-	WindowRuns int
-	// SpeculativeRuns counts the subset of WindowRuns evaluated for
-	// non-winning candidates — the legacy speculative warms, useful only
-	// if a later look-ahead enters through an alternate candidate.
-	SpeculativeRuns int
-	// SpeculativeWaste counts speculative runs never reused by a later
-	// memo hit.
-	SpeculativeWaste int
-	// ReplayedTasks counts task placements copied from a resumed run's
-	// trace prefix instead of being searched from the chart.
-	ReplayedTasks int
-	// ResumedRuns counts placement runs that reused a non-empty prefix of
-	// the previous run on the same scratch.
-	ResumedRuns int
-	// RollbackDepth accumulates, over all resumed runs, the number of
-	// traced placement steps rolled back off the chart at the first dirty
-	// position (the suffix each resume had to re-place).
-	RollbackDepth int
-	// PrunedRuns counts speculative window runs aborted by the partial
-	// lower bound: the incumbent's makespan proved the candidate could
-	// not beat it, so the run was abandoned mid-placement instead of
-	// completed as a memo warm. Pruned runs are not counted as LoCBSRuns
-	// or WindowRuns.
-	PrunedRuns int
-	// PrunedTasks accumulates the task placements those aborts skipped.
-	PrunedTasks int
-	// ProbeFanouts counts candidate-slot scans that engaged the probe pool
-	// (scans surviving the serial prefix when ProbeWorkers >= 2).
-	ProbeFanouts int
-	// ProbeSlots accumulates the candidate slots evaluated concurrently by
-	// those fan-outs.
-	ProbeSlots int
-}
-
-// Metrics converts the stats into the model-level RunMetrics snapshot the
-// experiment drivers and command-line tools report.
-func (st SearchStats) Metrics() model.RunMetrics {
-	return model.RunMetrics{
-		OuterIterations:  st.OuterIterations,
-		LookAheadSteps:   st.LookAheadSteps,
-		LoCBSRuns:        st.LoCBSRuns,
-		Commits:          st.Commits,
-		Marks:            st.Marks,
-		CacheHits:        st.CacheHits,
-		CacheMisses:      st.CacheMisses,
-		WindowRuns:       st.WindowRuns,
-		SpeculativeRuns:  st.SpeculativeRuns,
-		SpeculativeWaste: st.SpeculativeWaste,
-		ReplayedTasks:    st.ReplayedTasks,
-		ResumedRuns:      st.ResumedRuns,
-		RollbackDepth:    st.RollbackDepth,
-		PrunedRuns:       st.PrunedRuns,
-		PrunedTasks:      st.PrunedTasks,
-		ProbeFanouts:     st.ProbeFanouts,
-		ProbeSlots:       st.ProbeSlots,
-	}
-}
+// It is the model-level RunMetrics, so every layer reports one struct.
+type SearchStats = model.RunMetrics
 
 // LastStats returns the statistics of the most recently completed Schedule
 // call on this instance (for ScheduleDual, the winning run's).
@@ -186,40 +81,10 @@ func (s *LoCMPS) LastStats() SearchStats {
 	return s.stats
 }
 
-// LastRunMetrics returns the most recent Schedule call's statistics as the
-// model-level RunMetrics snapshot (the facade's SearchMetrics discovers this
-// method through an interface assertion).
+// LastRunMetrics is LastStats under the name the facade's SearchMetrics
+// discovers through an interface assertion.
 func (s *LoCMPS) LastRunMetrics() model.RunMetrics {
-	return s.LastStats().Metrics()
-}
-
-// speculativeWorkers resolves the effective worker bound: 0 means one per
-// CPU; anything below 2 disables speculation (there is no second worker to
-// hide a speculative run behind, so it would only add serial work).
-func (s *LoCMPS) speculativeWorkers() int {
-	w := s.SpeculativeWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 2 {
-		return 1
-	}
-	return w
-}
-
-// probeWorkers resolves the effective probe-pool bound the same way: 0
-// means one per CPU; below 2 the candidate scans stay serial (there is no
-// second worker to probe a slot concurrently, so a pool would only add
-// dispatch overhead).
-func (s *LoCMPS) probeWorkers() int {
-	w := s.ProbeWorkers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w < 2 {
-		return 1
-	}
-	return w
+	return s.LastStats()
 }
 
 func (s *LoCMPS) setStats(st SearchStats) {
@@ -254,38 +119,16 @@ func NewICASLB() *LoCMPS {
 	}
 }
 
-// NewParallel returns the paper configuration with both intra-search pools
-// pinned to the given worker count: concurrent §III.C window evaluation
-// (SpeculativeWorkers) and the in-run probe pool (ProbeWorkers). Both are
-// bit-identity-preserving, so this differs from New only in where the work
-// executes. workers = 0 keeps the GOMAXPROCS default; 1 forces fully serial
-// execution of an otherwise fully accelerated search.
-func NewParallel(workers int) *LoCMPS {
-	if workers < 0 {
-		workers = 0
-	}
-	return &LoCMPS{
-		AlgorithmName:      "LoC-MPS",
-		Engine:             DefaultConfig(),
-		SpeculativeWorkers: workers,
-		ProbeWorkers:       workers,
-	}
-}
-
 // NewReference returns the paper configuration with every engine-level
-// acceleration (memo table, incremental resume, speculative evaluation)
-// switched off. Schedules are bit-identical to New's — the accelerations
+// acceleration (memo table, incremental resume) switched off. Schedules are bit-identical to New's — the accelerations
 // never change results — so this is the baseline configuration performance
 // comparisons are measured against.
 func NewReference() *LoCMPS {
 	return &LoCMPS{
-		AlgorithmName:      "LoC-MPS",
-		Engine:             DefaultConfig(),
-		DisableMemo:        true,
-		DisableResume:      true,
-		SpeculativeWorkers: 1,
-		ProbeWorkers:       1,
-		DisablePruning:     true,
+		AlgorithmName: "LoC-MPS",
+		Engine:        DefaultConfig(),
+		DisableMemo:   true,
+		DisableResume: true,
 	}
 }
 
@@ -342,12 +185,8 @@ type search struct {
 	tb      *model.Tables
 	sc      *placerScratch
 	stats   SearchStats
-	// memo caches every evaluated allocation vector (nil when disabled);
-	// specWorkers > 1 enables speculative window evaluation and
-	// probeWorkers > 1 the in-run probe pool of the main path.
-	memo         *allocMemo
-	specWorkers  int
-	probeWorkers int
+	// memo caches every evaluated allocation vector (nil when disabled).
+	memo *allocMemo
 	// resumeKey is this search's epoch for incremental placement (0 when
 	// resume is disabled): every runLoCBS under the same key may resume
 	// from the trace its scratch recorded for the previous run.
@@ -394,19 +233,17 @@ func (s *LoCMPS) runSearchOn(ctx context.Context, sc *placerScratch, tg *model.T
 	}
 	sc.prepareSearch(n, tg.M())
 	r := &search{
-		alg:          s,
-		tg:           tg,
-		cluster:      cluster,
-		cfg:          s.Engine.withDefaults(),
-		preset:       preset,
-		tb:           tg.Tables(cluster.P),
-		sc:           sc,
-		specWorkers:  s.speculativeWorkers(),
-		probeWorkers: s.probeWorkers(),
-		ctx:          ctx,
-		budget:       budget,
-		pbest:        make([]int, n),
-		caps:         make([]int, n),
+		alg:     s,
+		tg:      tg,
+		cluster: cluster,
+		cfg:     s.Engine.withDefaults(),
+		preset:  preset,
+		tb:      tg.Tables(cluster.P),
+		sc:      sc,
+		ctx:     ctx,
+		budget:  budget,
+		pbest:   make([]int, n),
+		caps:    make([]int, n),
 	}
 	if !s.DisableMemo {
 		r.memo = newAllocMemo()
@@ -493,15 +330,7 @@ outerLoop:
 			applied := false
 			for attempt := 0; attempt < 2 && !applied; attempt++ {
 				if kindTask {
-					// §III.C: every top-fraction candidate's one-wider
-					// vector is evaluated concurrently; the winner is
-					// selected only after that barrier, by the strict
-					// total order that never consults the evaluations —
-					// so the runLoCBS below is a memo hit and the
-					// schedule is bit-identical to the serial search.
-					window := r.candidateWindow(np, cp, iter == 0)
-					if len(window) > 0 {
-						t := r.evaluateWindow(np, window, bestSL.makespan)
+					if t := r.bestTask(np, cp, iter == 0); t >= 0 {
 						if iter == 0 {
 							entryTask, entryEdgeID = t, -1
 						}
@@ -559,9 +388,6 @@ outerLoop:
 		}
 	}
 
-	if r.memo != nil {
-		r.stats.SpeculativeWaste = r.memo.wasted()
-	}
 	bestSched.Algorithm = s.Name()
 	bestSched.SchedulingTime = time.Since(started)
 	return bestSched, r.stats, r.truncated, nil
@@ -607,119 +433,19 @@ func (r *search) runLoCBS(np []int) (*schedule.Schedule, error) {
 		r.stats.CacheMisses++
 	}
 	r.stats.LoCBSRuns++
-	// Main-path runs own the whole machine while they execute (window
-	// fan-outs have their own parallelism), so they get the probe pool.
-	sched, err := runPlacer(r.tg, r.cluster, np, r.cfg, r.preset, r.sc, r.resumeKey, runOpts{probeWorkers: r.probeWorkers})
+	sched, err := runPlacer(r.tg, r.cluster, np, r.cfg, r.preset, r.sc, r.resumeKey)
 	if err == nil {
-		r.noteRun(r.sc.lastPlaceStats())
+		// Fold the run's resume accounting into the stats.
+		r.stats.ReplayedTasks += r.sc.lastReplayed
+		r.stats.RollbackDepth += r.sc.lastRolledBack
+		if r.sc.lastResumed {
+			r.stats.ResumedRuns++
+		}
 		if r.memo != nil {
-			r.memo.insert(np, sched, false)
+			r.memo.insert(np, sched)
 		}
 	}
 	return sched, err
-}
-
-// noteRun folds one completed placement run's resume and probe accounting
-// into the stats.
-func (r *search) noteRun(ps placeStats) {
-	r.stats.ReplayedTasks += ps.replayed
-	r.stats.RollbackDepth += ps.rolledBack
-	if ps.resumed {
-		r.stats.ResumedRuns++
-	}
-	r.stats.ProbeFanouts += ps.probeFanouts
-	r.stats.ProbeSlots += ps.probeSlots
-}
-
-// evaluateWindow resolves one §III.C widening step: when concurrent window
-// evaluation is enabled, every candidate's one-wider allocation vector gets
-// a full LoCBS run on the shared bounded worker pool, and only after that
-// barrier is the winner selected by selectWinner's strict total order. The
-// order never consults the evaluations, so schedules are bit-identical to
-// the serial search; the win is that the caller's immediate runLoCBS on the
-// winner — and any later look-ahead entering through an alternate candidate
-// — is a memo hit. Runs that error are simply not cached: the main path
-// re-runs the vector and surfaces the error deterministically.
-//
-// incumbent (the committed best schedule's makespan) arms dominance
-// pruning: the winner is a pure function of the window, so it is known
-// before the fan-out, and every non-winning candidate — whose completed
-// schedule would only ever serve as a memo warm — runs under the incumbent
-// as its prune bound. A run whose partial lower bound proves it cannot
-// beat the incumbent aborts mid-placement; losing that warm at worst costs
-// a fresh run if a later look-ahead enters through the candidate, it never
-// changes a schedule. The winner's run is consumed immediately by the main
-// path and therefore never pruned.
-//
-// Pooled window runs probe serially: the window fan-out already owns the
-// pool's parallelism, and nesting probe workers inside each pooled run
-// would oversubscribe the machine specWorkers × probeWorkers fold.
-func (r *search) evaluateWindow(np []int, window []taskCand, incumbent float64) int {
-	if r.memo == nil || r.specWorkers < 2 || len(window) < 2 {
-		return r.selectWinner(window)
-	}
-	winner := r.selectWinner(window)
-	bound := incumbent
-	if r.alg.DisablePruning {
-		bound = 0
-	}
-	// Snapshot the vectors to evaluate before touching np; skip the ones
-	// already cached so stats stay deterministic for a given machine shape.
-	vecs := make([][]int, 0, len(window))
-	tasks := make([]int, 0, len(window))
-	for _, c := range window {
-		vec := append(make([]int, 0, len(np)), np...)
-		vec[c.t]++
-		if !r.memo.contains(vec) {
-			vecs = append(vecs, vec)
-			tasks = append(tasks, c.t)
-		}
-	}
-	if len(vecs) == 0 {
-		return winner
-	}
-	scheds := make([]*schedule.Schedule, len(vecs))
-	resumes := make([]placeStats, len(vecs))
-	prunes := make([]bool, len(vecs))
-	_ = par.For(r.specWorkers, len(vecs), func(i int) error {
-		// Each worker's pool scratch carries the trace of its own previous
-		// window run, so window candidates — which share all but two width
-		// entries with each other — resume from long prefixes too.
-		opts := runOpts{}
-		if tasks[i] != winner {
-			opts.pruneBound = bound
-		}
-		s, ps, err := runPlacerPooled(r.tg, r.cluster, vecs[i], r.cfg, r.preset, r.resumeKey, opts)
-		switch {
-		case err == nil:
-			scheds[i], resumes[i] = s, ps
-		case errors.Is(err, errPruned):
-			resumes[i], prunes[i] = ps, true
-		}
-		return nil
-	})
-	// The barrier: every candidate evaluated, now fold in the accounting —
-	// barrier runs as WindowRuns, the non-winning subset additionally as
-	// the (speculative) warms they are, pruned runs only as prune counts
-	// (they completed nothing).
-	for i, s := range scheds {
-		if prunes[i] {
-			r.stats.PrunedRuns++
-			r.stats.PrunedTasks += resumes[i].pruned
-			continue
-		}
-		if s == nil {
-			continue
-		}
-		r.stats.LoCBSRuns++
-		r.stats.WindowRuns++
-		r.noteRun(resumes[i])
-		if tasks[i] != winner {
-			r.stats.SpeculativeRuns++
-		}
-		r.memo.insert(vecs[i], s, tasks[i] != winner)
-	}
-	return winner
 }
 
 // criticalPath returns CP(G') for the current schedule, deriving G' into
@@ -772,14 +498,12 @@ func (r *search) pathCosts(cur *schedule.Schedule, np, cp []int) (tcomp, tcomm f
 	return tcomp, tcomm
 }
 
-// candidateWindow implements the candidate ranking of §III.C: among
+// bestTask implements the task-widening step of §III.C: among
 // unsaturated (and, at the entry of a look-ahead, unmarked) critical-path
-// tasks, rank by execution-time improvement and return the top-fraction
-// window (which aliases scratch and is valid until the next call). The
-// window is empty when nothing on the critical path can be refined. Winner
-// selection is deliberately separate (selectWinner) so the caller can
-// evaluate every windowed vector concurrently first.
-func (r *search) candidateWindow(np, cp []int, entry bool) []taskCand {
+// tasks, rank by execution-time improvement, keep the top fraction and
+// return its minimum-concurrency-ratio task, ties broken by task id. It
+// returns -1 when nothing on the critical path can be refined.
+func (r *search) bestTask(np, cp []int, entry bool) int {
 	maxP := r.cluster.P
 	cands := r.sc.cands[:0]
 	for _, t := range cp {
@@ -798,7 +522,7 @@ func (r *search) candidateWindow(np, cp []int, entry bool) []taskCand {
 	}
 	r.sc.cands = cands
 	if len(cands) == 0 {
-		return nil
+		return -1
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].gain != cands[j].gain {
@@ -810,16 +534,8 @@ func (r *search) candidateWindow(np, cp []int, entry bool) []taskCand {
 	if k < 1 {
 		k = 1
 	}
-	return cands[:k]
-}
-
-// selectWinner applies §III.C's strict total order to a non-empty window:
-// the minimum-concurrency-ratio task, ties broken by task id. It is a pure
-// function of the window — never of any LoCBS evaluation — which is what
-// keeps concurrent window evaluation bit-identical to the serial search.
-func (r *search) selectWinner(window []taskCand) int {
-	best := window[0].t
-	for _, c := range window[1:] {
+	best := cands[0].t
+	for _, c := range cands[1:k] {
 		if r.tb.ConcurrencyRatio(c.t) < r.tb.ConcurrencyRatio(best) ||
 			(r.tb.ConcurrencyRatio(c.t) == r.tb.ConcurrencyRatio(best) && c.t < best) {
 			best = c.t

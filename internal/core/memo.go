@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"locmps/internal/schedule"
-)
+import "locmps/internal/schedule"
 
 // memoEntryLimit bounds the number of cached allocation vectors per search
 // so a pathological run cannot hold an unbounded number of schedules live.
@@ -36,8 +32,7 @@ func fnv1aVector(np []int) uint64 {
 }
 
 // memoEntry is one evaluated allocation vector: the (deterministic) LoCBS
-// result, the lazily derived critical path of that schedule, and the usage
-// accounting that feeds SearchStats.
+// result and the lazily derived critical path of that schedule.
 type memoEntry struct {
 	np    []int
 	sched *schedule.Schedule
@@ -45,25 +40,19 @@ type memoEntry struct {
 	// path are pure functions of the vector within one search, so both
 	// belong to the entry.
 	cp []int
-	// hits counts lookups answered by this entry; speculative entries with
-	// zero hits at the end of the search are wasted speculation.
-	hits        int
-	speculative bool
 }
 
-// allocMemo is the per-search allocation-vector memo table (§III.C/§III.E
-// tentpole): it maps already-evaluated allocation vectors to their LoCBS
-// schedule so neither the bounded look-ahead nor the repeat-until outer
-// loop ever pays for the same vector twice. LoCBS is deterministic, so a
-// hit is bit-identical to a fresh run by construction.
+// allocMemo is the per-search allocation-vector memo table (§III.C/§III.E):
+// it maps already-evaluated allocation vectors to their LoCBS schedule so
+// neither the bounded look-ahead nor the repeat-until outer loop ever pays
+// for the same vector twice. LoCBS is deterministic, so a hit is
+// bit-identical to a fresh run by construction.
 //
 // The table is keyed by a FNV-1a fingerprint of the processor-count vector;
 // buckets chain entries and every probe does a full vector compare, so a
-// fingerprint collision costs a comparison, never a wrong schedule. All
-// methods are safe for concurrent use — speculative workers insert while
-// the search thread looks up.
+// fingerprint collision costs a comparison, never a wrong schedule. A memo
+// belongs to one search and is used by its goroutine only.
 type allocMemo struct {
-	mu      sync.Mutex
 	buckets map[uint64][]*memoEntry
 	entries int
 	// hash is fnv1aVector except in tests, which inject constant hashes to
@@ -75,7 +64,7 @@ func newAllocMemo() *allocMemo {
 	return &allocMemo{buckets: make(map[uint64][]*memoEntry), hash: fnv1aVector}
 }
 
-// find returns the entry for np, or nil. Caller must hold m.mu.
+// find returns the entry for np, or nil.
 func (m *allocMemo) find(np []int) *memoEntry {
 	for _, e := range m.buckets[m.hash(np)] {
 		if intsEqual(e.np, np) {
@@ -85,37 +74,23 @@ func (m *allocMemo) find(np []int) *memoEntry {
 	return nil
 }
 
-// lookupSched returns the cached schedule for np (counting the hit), or nil.
+// lookupSched returns the cached schedule for np, or nil.
 func (m *allocMemo) lookupSched(np []int) *schedule.Schedule {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if e := m.find(np); e != nil {
-		e.hits++
 		return e.sched
 	}
 	return nil
 }
 
-// contains reports whether np is already cached, without counting a hit.
-func (m *allocMemo) contains(np []int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.find(np) != nil
-}
-
 // insert caches the schedule for np (copying the vector — callers reuse
 // their buffers). An existing entry wins: LoCBS is deterministic, so a
-// duplicate insert carries a bit-identical schedule and keeping the first
-// preserves its hit accounting.
-func (m *allocMemo) insert(np []int, s *schedule.Schedule, speculative bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// duplicate insert carries a bit-identical schedule.
+func (m *allocMemo) insert(np []int, s *schedule.Schedule) {
 	if m.find(np) != nil || m.entries >= memoEntryLimit {
 		return
 	}
 	h := m.hash(np)
-	m.buckets[h] = append(m.buckets[h],
-		&memoEntry{np: append([]int(nil), np...), sched: s, speculative: speculative})
+	m.buckets[h] = append(m.buckets[h], &memoEntry{np: append([]int(nil), np...), sched: s})
 	m.entries++
 }
 
@@ -123,8 +98,6 @@ func (m *allocMemo) insert(np []int, s *schedule.Schedule, speculative bool) {
 // schedule is the one the caller derived it from (the pointer check keeps a
 // stale pairing impossible).
 func (m *allocMemo) lookupCP(np []int, sched *schedule.Schedule) ([]int, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if e := m.find(np); e != nil && e.sched == sched && e.cp != nil {
 		return e.cp, true
 	}
@@ -134,25 +107,7 @@ func (m *allocMemo) lookupCP(np []int, sched *schedule.Schedule) ([]int, bool) {
 // storeCP records the critical path for np if the vector is cached with the
 // given schedule. The path is copied: callers hand in scratch-backed slices.
 func (m *allocMemo) storeCP(np []int, sched *schedule.Schedule, cp []int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if e := m.find(np); e != nil && e.sched == sched && e.cp == nil {
 		e.cp = append([]int(nil), cp...)
 	}
-}
-
-// wasted counts speculative entries that were never hit — the speculation
-// that bought nothing.
-func (m *allocMemo) wasted() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, bucket := range m.buckets {
-		for _, e := range bucket {
-			if e.speculative && e.hits == 0 {
-				n++
-			}
-		}
-	}
-	return n
 }

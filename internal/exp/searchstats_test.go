@@ -11,9 +11,8 @@ func TestSearchStatsFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"locbs-runs", "lookahead-steps", "cache-hit-%", "window-runs", "spec-runs", "spec-waste",
-		"resumed-runs", "replayed-tasks", "rollback-depth", "replay-%",
-		"pruned-runs", "pruned-tasks", "probe-fanouts", "probe-slots"}
+	want := []string{"locbs-runs", "lookahead-steps", "cache-hit-%",
+		"resumed-runs", "replayed-tasks", "rollback-depth", "replay-%"}
 	if len(f.Series) != len(want) {
 		t.Fatalf("stats: %d series, want %d", len(f.Series), len(want))
 	}

@@ -8,16 +8,19 @@ import (
 // RunMetrics is a scheduler-run snapshot of the work the LoC-MPS search
 // layer performed: how the bounded look-ahead explored the allocation
 // space, how often the allocation-vector memo table short-circuited a
-// placement run, and how much speculative candidate evaluation paid off.
-// It lives in internal/model so that experiment drivers and the command
-// line tools can report it without depending on the scheduler package.
+// placement run, and how much placement work incremental resume replayed.
+// It is the one counter struct of every layer — core.SearchStats is an
+// alias of it — and lives in internal/model so that experiment drivers and
+// the command line tools can report it without depending on the scheduler
+// package. Every counter is a pure function of the instance and the
+// scheduler configuration.
 type RunMetrics struct {
 	// OuterIterations counts repeat-until rounds (Algorithm 1 steps 5-40).
 	OuterIterations int
 	// LookAheadSteps counts inner look-ahead iterations across all rounds.
 	LookAheadSteps int
-	// LoCBSRuns counts actual placement-engine invocations, including
-	// speculative ones; memo hits do not re-run the engine.
+	// LoCBSRuns counts actual placement-engine invocations; memo hits do
+	// not re-run the engine.
 	LoCBSRuns int
 	// Commits counts rounds that improved the committed best schedule.
 	Commits int
@@ -28,17 +31,6 @@ type RunMetrics struct {
 	CacheHits int
 	// CacheMisses counts search-path memo lookups that required a run.
 	CacheMisses int
-	// WindowRuns counts LoCBS runs evaluated through the concurrent
-	// §III.C window barrier, the winner's run included; it is zero when
-	// speculation is disabled and the window degenerates to the serial
-	// winner-only path.
-	WindowRuns int
-	// SpeculativeRuns counts LoCBS runs launched for non-winning
-	// candidates of the §III.C top-fraction window.
-	SpeculativeRuns int
-	// SpeculativeWaste counts speculative runs whose results were never
-	// used by a later memo hit.
-	SpeculativeWaste int
 	// ReplayedTasks counts task placements replayed from a resumed run's
 	// checkpoint trace instead of being searched against the chart.
 	ReplayedTasks int
@@ -48,18 +40,44 @@ type RunMetrics struct {
 	// RollbackDepth accumulates, over all resumed runs, how many traced
 	// placement steps were rolled back at the first divergent position.
 	RollbackDepth int
-	// PrunedRuns counts speculative window runs aborted by the partial
-	// lower bound (the incumbent's makespan proved the candidate could not
-	// beat it); PrunedTasks accumulates the task placements those aborts
-	// skipped. Pruned runs are not included in LoCBSRuns or WindowRuns.
-	PrunedRuns  int
-	PrunedTasks int
-	// ProbeFanouts counts candidate-slot scans handed to the in-run probe
-	// pool; ProbeSlots accumulates the slots those fan-outs evaluated
-	// concurrently. Both are zero when probe parallelism is off.
+
+	// Deprecated: always zero. The search no longer evaluates the §III.C
+	// window concurrently; the field remains for existing readers.
+	WindowRuns int
+	// Deprecated: always zero, like WindowRuns.
+	SpeculativeRuns int
+	// Deprecated: always zero, like WindowRuns.
+	SpeculativeWaste int
+	// Deprecated: always zero. The search no longer prunes look-ahead
+	// runs by a lower bound; the field remains for existing readers.
+	PrunedRuns int
+	// Deprecated: always zero. Placement runs no longer fan their
+	// candidate scans out to a probe pool; the field remains for existing
+	// readers.
 	ProbeFanouts int
-	ProbeSlots   int
 }
+
+// Add accumulates o's counters into m (summing the searches of a stream
+// or a benchmark pass).
+func (m *RunMetrics) Add(o RunMetrics) {
+	m.OuterIterations += o.OuterIterations
+	m.LookAheadSteps += o.LookAheadSteps
+	m.LoCBSRuns += o.LoCBSRuns
+	m.Commits += o.Commits
+	m.Marks += o.Marks
+	m.CacheHits += o.CacheHits
+	m.CacheMisses += o.CacheMisses
+	m.ReplayedTasks += o.ReplayedTasks
+	m.ResumedRuns += o.ResumedRuns
+	m.RollbackDepth += o.RollbackDepth
+}
+
+// Metrics returns m itself.
+//
+// Deprecated: core.SearchStats is now an alias of RunMetrics, so the
+// conversion it once performed is the identity; it remains for existing
+// callers.
+func (m RunMetrics) Metrics() RunMetrics { return m }
 
 // ReplayRate is the fraction of traced placement work served by replay:
 // replayed/(replayed+rolled back), in [0,1]; zero when nothing resumed.
@@ -81,15 +99,6 @@ func (m RunMetrics) CacheHitRate() float64 {
 	return float64(m.CacheHits) / float64(total)
 }
 
-// SpeculationWasteRate is the fraction of speculative runs that were never
-// reused, in [0,1]; zero when nothing was speculated.
-func (m RunMetrics) SpeculationWasteRate() float64 {
-	if m.SpeculativeRuns == 0 {
-		return 0
-	}
-	return float64(m.SpeculativeWaste) / float64(m.SpeculativeRuns)
-}
-
 // String renders a compact single-line report suitable for logs and tool
 // output.
 func (m RunMetrics) String() string {
@@ -97,21 +106,9 @@ func (m RunMetrics) String() string {
 	fmt.Fprintf(&b, "outer=%d lookahead=%d locbs=%d commits=%d marks=%d",
 		m.OuterIterations, m.LookAheadSteps, m.LoCBSRuns, m.Commits, m.Marks)
 	fmt.Fprintf(&b, " cache=%d/%d (%.1f%% hit)", m.CacheHits, m.CacheHits+m.CacheMisses, 100*m.CacheHitRate())
-	if m.WindowRuns > 0 {
-		fmt.Fprintf(&b, " window=%d", m.WindowRuns)
-	}
-	if m.SpeculativeRuns > 0 {
-		fmt.Fprintf(&b, " spec=%d (%.1f%% wasted)", m.SpeculativeRuns, 100*m.SpeculationWasteRate())
-	}
 	if m.ResumedRuns > 0 {
 		fmt.Fprintf(&b, " resume=%d replayed=%d rollback=%d (%.1f%% replay)",
 			m.ResumedRuns, m.ReplayedTasks, m.RollbackDepth, 100*m.ReplayRate())
-	}
-	if m.PrunedRuns > 0 {
-		fmt.Fprintf(&b, " pruned=%d (%d tasks)", m.PrunedRuns, m.PrunedTasks)
-	}
-	if m.ProbeFanouts > 0 {
-		fmt.Fprintf(&b, " probe=%d fanouts (%d slots)", m.ProbeFanouts, m.ProbeSlots)
 	}
 	return b.String()
 }

@@ -7,16 +7,29 @@ import (
 
 func TestRunMetricsRates(t *testing.T) {
 	var zero RunMetrics
-	if zero.CacheHitRate() != 0 || zero.SpeculationWasteRate() != 0 {
+	if zero.CacheHitRate() != 0 || zero.ReplayRate() != 0 {
 		t.Errorf("zero metrics should report zero rates, got %v / %v",
-			zero.CacheHitRate(), zero.SpeculationWasteRate())
+			zero.CacheHitRate(), zero.ReplayRate())
 	}
-	m := RunMetrics{CacheHits: 30, CacheMisses: 10, SpeculativeRuns: 8, SpeculativeWaste: 2}
+	m := RunMetrics{CacheHits: 30, CacheMisses: 10, ReplayedTasks: 6, RollbackDepth: 2}
 	if got := m.CacheHitRate(); got != 0.75 {
 		t.Errorf("CacheHitRate = %v, want 0.75", got)
 	}
-	if got := m.SpeculationWasteRate(); got != 0.25 {
-		t.Errorf("SpeculationWasteRate = %v, want 0.25", got)
+	if got := m.ReplayRate(); got != 0.75 {
+		t.Errorf("ReplayRate = %v, want 0.75", got)
+	}
+}
+
+func TestRunMetricsAdd(t *testing.T) {
+	a := RunMetrics{OuterIterations: 1, LookAheadSteps: 2, LoCBSRuns: 3, Commits: 4, Marks: 5,
+		CacheHits: 6, CacheMisses: 7, ReplayedTasks: 8, ResumedRuns: 9, RollbackDepth: 10}
+	var sum RunMetrics
+	sum.Add(a)
+	sum.Add(a)
+	want := RunMetrics{OuterIterations: 2, LookAheadSteps: 4, LoCBSRuns: 6, Commits: 8, Marks: 10,
+		CacheHits: 12, CacheMisses: 14, ReplayedTasks: 16, ResumedRuns: 18, RollbackDepth: 20}
+	if sum != want {
+		t.Errorf("Add twice = %+v, want %+v", sum, want)
 	}
 }
 
@@ -29,11 +42,11 @@ func TestRunMetricsString(t *testing.T) {
 			t.Errorf("String() = %q, missing %q", s, want)
 		}
 	}
-	if strings.Contains(s, "spec=") {
-		t.Errorf("String() = %q reports speculation with none recorded", s)
+	if strings.Contains(s, "resume=") {
+		t.Errorf("String() = %q reports resume with none recorded", s)
 	}
-	m.SpeculativeRuns, m.SpeculativeWaste = 4, 1
-	if s := m.String(); !strings.Contains(s, "spec=4 (25.0% wasted)") {
-		t.Errorf("String() = %q, missing speculation report", s)
+	m.ResumedRuns, m.ReplayedTasks, m.RollbackDepth = 4, 3, 1
+	if s := m.String(); !strings.Contains(s, "resume=4 replayed=3 rollback=1 (75.0% replay)") {
+		t.Errorf("String() = %q, missing resume report", s)
 	}
 }

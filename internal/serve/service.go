@@ -59,16 +59,6 @@ type Config struct {
 	// and populated after every successful cacheable run. Warm state in an
 	// L2 survives process restarts; a nil L2 disables the tier.
 	L2 SecondLevel
-	// SearchWorkers sizes the intra-search parallelism of each cold
-	// LoC-MPS run: the concurrent §III.C window evaluation and the in-run
-	// candidate-probe pool, both bit-identity-preserving. The default
-	// divides GOMAXPROCS by the number of request-level workers
-	// (Shards x WorkersPerShard, minimum 1), so the service never
-	// oversubscribes: when request concurrency already fills the machine
-	// each search runs serially, and on a wide machine serving few
-	// concurrent requests the spare cores accelerate each individual
-	// search. Set 1 to force serial searches regardless of topology.
-	SearchWorkers int
 }
 
 // SecondLevel is the second-level result cache consulted between the
@@ -99,12 +89,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 1 {
 		c.CacheEntries = 1024
 	}
-	if c.SearchWorkers < 1 {
-		c.SearchWorkers = runtime.GOMAXPROCS(0) / (c.Shards * c.WorkersPerShard)
-		if c.SearchWorkers < 1 {
-			c.SearchWorkers = 1
-		}
-	}
 	return c
 }
 
@@ -128,20 +112,20 @@ type Service struct {
 	portfolioRaces atomic.Uint64
 	winnerHits     atomic.Uint64
 	winnerMisses   atomic.Uint64
-	hits         atomic.Uint64
-	coalesced    atomic.Uint64
-	scheduled    atomic.Uint64
-	rejected     atomic.Uint64
-	failed       atomic.Uint64
-	cancelled    atomic.Uint64
-	evictions    atomic.Uint64
-	completed    atomic.Uint64
-	sharedHits   atomic.Uint64
-	sharedMisses atomic.Uint64
-	l2Hits       atomic.Uint64
-	l2Misses     atomic.Uint64
-	l2Writes     atomic.Uint64
-	lat          *latring.Ring
+	hits           atomic.Uint64
+	coalesced      atomic.Uint64
+	scheduled      atomic.Uint64
+	rejected       atomic.Uint64
+	failed         atomic.Uint64
+	cancelled      atomic.Uint64
+	evictions      atomic.Uint64
+	completed      atomic.Uint64
+	sharedHits     atomic.Uint64
+	sharedMisses   atomic.Uint64
+	l2Hits         atomic.Uint64
+	l2Misses       atomic.Uint64
+	l2Writes       atomic.Uint64
+	lat            *latring.Ring
 }
 
 type shard struct {
@@ -450,7 +434,7 @@ func (s *Service) runJob(cw *core.Worker, algs map[Options]schedule.Engine, jb *
 	cfg.MaxIterations = 0
 	alg, ok := algs[cfg]
 	if !ok {
-		if alg, err = buildScheduler(cfg, s.cfg.SearchWorkers); err != nil {
+		if alg, err = buildScheduler(cfg); err != nil {
 			return nil, false, err
 		}
 		algs[cfg] = alg
@@ -544,10 +528,6 @@ func (s *Service) runWinner(cw *core.Worker, jb *job, winner string) (*schedule.
 		res, err := alg.ScheduleContext(jb.ctx, jb.req.Graph, jb.req.Cluster)
 		return res, false, err
 	}
-	// Winner runs are cold searches like any other: give them the same
-	// intra-search parallelism budget the single-engine path gets.
-	lm.SpeculativeWorkers = s.cfg.SearchWorkers
-	lm.ProbeWorkers = s.cfg.SearchWorkers
 	skey, kerr := jb.req.StateKey()
 	if kerr == nil {
 		if st := s.states.get(skey); st != nil {
@@ -699,9 +679,7 @@ func (r *stateRegistry) put(k Key, st *core.SharedState) {
 }
 
 // buildScheduler materializes the scheduler for normalized options.
-// searchWorkers pins the intra-search pools of LoC-MPS-family schedulers
-// (Config.SearchWorkers — the oversubscription budget).
-func buildScheduler(o Options, searchWorkers int) (schedule.Engine, error) {
+func buildScheduler(o Options) (schedule.Engine, error) {
 	alg, err := sched.ByName(o.Algorithm)
 	if err != nil {
 		return nil, err
@@ -710,8 +688,6 @@ func buildScheduler(o Options, searchWorkers int) (schedule.Engine, error) {
 		lm.LookAheadDepth = o.LookAheadDepth
 		lm.TopFraction = o.TopFraction
 		lm.Engine.BlockBytes = o.BlockBytes
-		lm.SpeculativeWorkers = searchWorkers
-		lm.ProbeWorkers = searchWorkers
 	}
 	return alg, nil
 }
@@ -772,10 +748,8 @@ type Stats struct {
 	// number of cached schedules.
 	Evictions    uint64
 	CacheEntries int
-	// Shards and Workers describe the running topology; SearchWorkers is
-	// the per-cold-run intra-search parallelism budget (Config.SearchWorkers
-	// after defaulting).
-	Shards, Workers, SearchWorkers int
+	// Shards and Workers describe the running topology.
+	Shards, Workers int
 	// Uptime is the time since New; P50/P99 are request latency quantiles
 	// over a sliding window of recent completions.
 	Uptime   time.Duration
@@ -814,7 +788,6 @@ func (s *Service) Stats() Stats {
 		L2Writes:          s.l2Writes.Load(),
 		Shards:            len(s.shards),
 		Workers:           len(s.shards) * s.cfg.WorkersPerShard,
-		SearchWorkers:     s.cfg.SearchWorkers,
 		Uptime:            time.Since(s.start),
 	}
 	for _, sh := range s.shards {

@@ -77,7 +77,7 @@ func equalSchedules(a, b *schedule.Schedule, m int) string {
 func directRun(t *testing.T, req Request) *schedule.Schedule {
 	t.Helper()
 	o := req.Options.normalized()
-	alg, err := buildScheduler(o, 1)
+	alg, err := buildScheduler(o)
 	if err != nil {
 		t.Fatalf("buildScheduler: %v", err)
 	}
@@ -141,33 +141,6 @@ func TestServiceBitIdenticalColdAndHit(t *testing.T) {
 	}
 	if st.Completed != 2*uint64(len(reqs)) {
 		t.Errorf("Completed = %d, want %d", st.Completed, 2*len(reqs))
-	}
-}
-
-// TestServiceSearchWorkersBitIdentical pins the intra-search pools
-// (Config.SearchWorkers) wide and checks cold runs stay bit-identical to a
-// serial direct run — the probe pool, the window barrier and the dominance
-// bound must be invisible in the service's output whatever the budget.
-func TestServiceSearchWorkersBitIdentical(t *testing.T) {
-	svc := New(Config{Shards: 1, WorkersPerShard: 1, QueueDepth: 8, CacheEntries: 32, SearchWorkers: 4})
-	defer svc.Close()
-	if got := svc.Stats().SearchWorkers; got != 4 {
-		t.Fatalf("Stats().SearchWorkers = %d, want 4", got)
-	}
-	reqs := []Request{
-		{Graph: testGraph(t, 24, 5), Cluster: testClusterP(16)},
-		{Graph: testGraph(t, 12, 6), Cluster: testClusterP(8)},
-		{Graph: testGraph(t, 24, 5), Cluster: testClusterP(16), Options: Options{Algorithm: "LoC-MPS-NoBF"}},
-	}
-	for i, req := range reqs {
-		want := directRun(t, req)
-		got, err := svc.Schedule(req)
-		if err != nil {
-			t.Fatalf("req %d: %v", i, err)
-		}
-		if diff := equalSchedules(want, got, req.Graph.M()); diff != "" {
-			t.Errorf("req %d: parallel-search service run differs from serial direct run: %s", i, diff)
-		}
 	}
 }
 

@@ -28,7 +28,7 @@
 // next, and model tables are carried across union rebuilds by
 // model.ConcatTables instead of re-evaluating speedup profiles. Scratch
 // mode (Config.Scratch) is the honest naive baseline: the reference
-// configuration (memo, resume and speculation off) on a freshly rebuilt
+// configuration (memo and resume off) on a freshly rebuilt
 // graph per search. Both modes produce bit-identical plans at every
 // event — the accelerations never change results — which is what the
 // BENCH_stream.json speedup gate and the all-arrivals-at-t=0
@@ -97,7 +97,7 @@ type Config struct {
 	Failures []Fail
 	Resizes  []Resize
 	// Scratch selects the naive reference mode: every real reschedule
-	// runs the reference configuration (memo/resume/speculation off) on
+	// runs the reference configuration (memo and resume off) on
 	// a freshly rebuilt union graph. Plans are bit-identical to
 	// incremental mode; only the work to produce them differs.
 	Scratch bool
@@ -105,13 +105,6 @@ type Config struct {
 	// accounting). Leave false everywhere except hot benchmark loops
 	// that measure pure rescheduling cost.
 	SkipAudit bool
-	// Workers pins both intra-search pools (concurrent window evaluation
-	// and the in-run probe pool) of the incremental scheduler to this
-	// count; 0 keeps the GOMAXPROCS default and 1 forces serial searches.
-	// Plans are bit-identical at every event regardless — the pools only
-	// change where placement work executes. Ignored in Scratch mode,
-	// whose reference configuration is serial by definition.
-	Workers int
 	// Window sizes the reschedule-latency quantile ring (0 selects
 	// DefaultWindow).
 	Window int
@@ -275,11 +268,7 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Scratch {
 		s.alg = core.NewReference()
 	} else {
-		if cfg.Workers > 0 {
-			s.alg = core.NewParallel(cfg.Workers)
-		} else {
-			s.alg = core.New()
-		}
+		s.alg = core.New()
 		s.worker = core.NewWorker()
 	}
 	return s, nil
@@ -430,7 +419,7 @@ func (s *Sim) Step() (EventRecord, bool, error) {
 		s.ring.Record(rec.Elapsed)
 		s.res.Searches++
 		s.res.SearchTime += rec.Elapsed
-		addStats(&s.res.Stats, rec.Stats)
+		s.res.Stats.Add(rec.Stats)
 	}
 
 	rec.ActiveJobs = len(s.active)
@@ -795,20 +784,4 @@ func maxFinish(recs []schedule.Placement) float64 {
 		}
 	}
 	return m
-}
-
-func addStats(dst *core.SearchStats, s core.SearchStats) {
-	dst.OuterIterations += s.OuterIterations
-	dst.LookAheadSteps += s.LookAheadSteps
-	dst.LoCBSRuns += s.LoCBSRuns
-	dst.Commits += s.Commits
-	dst.Marks += s.Marks
-	dst.CacheHits += s.CacheHits
-	dst.CacheMisses += s.CacheMisses
-	dst.WindowRuns += s.WindowRuns
-	dst.SpeculativeRuns += s.SpeculativeRuns
-	dst.SpeculativeWaste += s.SpeculativeWaste
-	dst.ReplayedTasks += s.ReplayedTasks
-	dst.ResumedRuns += s.ResumedRuns
-	dst.RollbackDepth += s.RollbackDepth
 }

@@ -10,11 +10,10 @@ import (
 )
 
 // TestIncrementalMatchesReference is the schedule-diff safety net for the
-// incremental placement engine: the optimized scheduler (memo + resume +
-// speculation) must emit bit-identical schedules to the reference
-// configuration that recomputes everything from scratch, across the same
-// workload families the golden fixture covers. Run it under -race to also
-// exercise the speculative pool against the resume traces.
+// incremental placement engine: the optimized scheduler (memo + resume)
+// must emit bit-identical schedules to the reference configuration that
+// recomputes everything from scratch, across the same workload families
+// the golden fixture covers.
 func TestIncrementalMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential suite is several seconds of scheduling work")

@@ -140,5 +140,5 @@ func Extended(o SuiteOptions) (Figure, error) { return exp.Extended(o) }
 
 // SearchStatsFig profiles the LoC-MPS search layer across machine sizes:
 // placement-engine runs, look-ahead steps, allocation-memo hit rate and
-// speculative-evaluation accounting, averaged over the suite's graphs.
+// incremental-resume accounting, averaged over the suite's graphs.
 func SearchStatsFig(o SuiteOptions) (Figure, error) { return exp.SearchStatsFigure(o) }
