@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race test-widths bench-smoke bench-gate bench-json bench-save bench-diff profile golden stress fuzz-smoke loadgen loadgen-smoke serve-smoke portfolio-smoke stream-smoke streamgen
+.PHONY: check build vet test race test-widths bench-smoke bench-gate bench-json bench-save bench-diff profile golden stress fuzz-smoke loadgen loadgen-smoke serve-smoke portfolio-smoke stream-smoke streamgen perfbench-test
 
 check: build vet race bench-smoke loadgen-smoke portfolio-smoke serve-smoke stream-smoke
 
@@ -30,6 +30,13 @@ test-widths:
 		echo "=== GOMAXPROCS=$$gmp ==="; \
 		GOMAXPROCS=$$gmp $(GO) test -count=1 ./... || exit 1; \
 	done
+
+# The repository benchmark (perfbench/, a nested module that ./... never
+# builds): vet it, check its metric catalog against BENCHMARK.json and
+# require the stream-churn workload's drained end state to pass the audit.
+# About 80-100 s on 2 CPUs.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 -run 'TestCatalogMatchesBenchmarkJSON|TestStreamChurnEndState' .
 
 # A single iteration of each mid-scale scheduler benchmark: catches gross
 # regressions and asserts the hot path still runs end to end.

@@ -6,18 +6,12 @@
 // search layer (look-ahead steps, engine runs, allocation-memo hit rate,
 // incremental-resume accounting).
 //
-// The file keeps two snapshots: "baseline" (written once, preserved on
-// every rerun) and "current" (refreshed each run), plus the derived
-// speedups. Delete the file to re-baseline everything, or pass
-// -rebaseline with a comma-separated list of case names to re-measure just
-// those baselines using the reference scheduler (NewLoCMPSReference: memo
-// and resume disabled), so the recorded speedup compares the
-// optimized engine against the same engine with its accelerations off.
-//
-// A case whose baseline and current entries are byte-identical carries no
-// information (its speedup is a vacuous 1.0x — the backfill of a case added
-// after the baseline was first recorded); the tool warns about every such
-// case so stale baselines do not masquerade as "no improvement".
+// The file uses the shared bench-file envelope of internal/benchfile
+// (baseline preserved, current refreshed, stale cases warned about) plus
+// the derived speedups. -rebaseline re-measures the named cases' baselines
+// with the reference scheduler (NewLoCMPSReference: memo and resume
+// disabled), so the recorded speedup compares the optimized engine against
+// the same engine with its accelerations off.
 //
 // To suppress scheduler jitter each case is measured -reps times (default
 // 3) and the fastest repetition is recorded, the same convention as
@@ -33,20 +27,18 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"locmps"
+	"locmps/internal/benchfile"
 )
 
 // Result is one benchmark snapshot.
@@ -96,15 +88,10 @@ func snapshot(m locmps.RunMetrics) *SearchSnapshot {
 	}
 }
 
-// File is the on-disk layout of BENCH_locmps.json.
+// File is the on-disk layout of BENCH_locmps.json: the shared bench-file
+// envelope plus the figures derived from it.
 type File struct {
-	Note string `json:"note,omitempty"`
-	// CPUs is the logical core count of the host that recorded the current
-	// snapshot, so readers (and the gate) know what the figures were taken
-	// on.
-	CPUs     int                `json:"cpus,omitempty"`
-	Baseline map[string]Result  `json:"baseline"`
-	Current  map[string]Result  `json:"current"`
+	benchfile.File[Result]
 	SpeedupX map[string]Speedup `json:"speedup_vs_baseline"`
 	// AnytimeTradeoff is the makespan-vs-latency curve of the anytime
 	// search on each recorded case: one point per MaxIterations budget
@@ -288,11 +275,11 @@ func main() {
 // threshold or when any makespan differs from the committed one (schedules
 // are deterministic — a changed makespan is a behavior change, not noise).
 func gateRun(path string, reps int, threshold float64) error {
-	prev, err := load(path)
-	if err != nil {
+	var prev File
+	if _, err := benchfile.Load(path, &prev); err != nil {
 		return err
 	}
-	if prev == nil || len(prev.Current) == 0 {
+	if len(prev.Current) == 0 {
 		return fmt.Errorf("-gate: no committed snapshot in %s to gate against", path)
 	}
 	var failures []string
@@ -341,267 +328,21 @@ func gateRun(path string, reps int, threshold float64) error {
 		}
 		fmt.Printf("%-34s portfolio %.6g (winner %s)  %s\n", pc.name, e.PortfolioMakespan, e.Winner, status)
 	}
-	serveFailures, err := gateServe("BENCH_serve.json", threshold)
-	if err != nil {
-		return err
+	// The serving and streaming suites take minutes of wall clock, so their
+	// files are audited as committed — current against the baseline recorded
+	// alongside it — by each file's gate table, not re-measured.
+	for _, g := range []benchfile.Gate{benchfile.ServeGate, benchfile.StreamGate} {
+		fs, err := g.Check(g.Path, threshold, os.Stdout)
+		if err != nil {
+			return err
+		}
+		failures = append(failures, fs...)
 	}
-	failures = append(failures, serveFailures...)
-	streamFailures, err := gateStream("BENCH_stream.json", threshold)
-	if err != nil {
-		return err
-	}
-	failures = append(failures, streamFailures...)
 	if len(failures) > 0 {
 		return fmt.Errorf("gate failed:\n  %s", strings.Join(failures, "\n  "))
 	}
 	fmt.Println("bench gate passed")
 	return nil
-}
-
-// serveGateMetrics are the per-case figures gated in BENCH_serve.json. The
-// serving benchmarks take minutes of wall clock, so unlike the scheduler
-// cases the gate does not re-measure: it audits the committed file itself —
-// current vs the baseline recorded alongside it — and fails when a commit
-// records a regression past the threshold. Tail latency gates upward
-// (current may not exceed threshold x baseline), speedups gate downward
-// (baseline may not exceed threshold x current).
-var serveGateMetrics = []struct {
-	field         string
-	lowerIsBetter bool
-	// nsFloor marks nanosecond metrics subject to serveGateFloorNs: a
-	// sub-millisecond latency is one preempted goroutine away from any
-	// ratio, so such pairs are exempt.
-	nsFloor bool
-	// skipTruncated exempts the metric when the case records
-	// truncated=true: a deadline that actually cut the search makes the
-	// figure a function of how often the host preempted the worker inside
-	// the budget — scheduler noise, not a regression. (cmd/loadgen already
-	// records the best of several repetitions for these cases; the
-	// exemption covers the residual drift.)
-	skipTruncated bool
-}{
-	{field: "warm_p99_ns", lowerIsBetter: true, nsFloor: true},
-	{field: "net_warm_p99_ns", lowerIsBetter: true, nsFloor: true},
-	{field: "hedged_p99_ns", lowerIsBetter: true, nsFloor: true},
-	{field: "hit_speedup_x"},
-	{field: "cold_schedules_per_sec"},
-	{field: "quality_ratio", lowerIsBetter: true, skipTruncated: true},
-}
-
-// serveGateWarmOverheadMax is an absolute bound, not a baseline ratio: the
-// portfolio case's winner-routed warm p50 may cost at most 10% over the
-// direct single-engine call, whatever the baseline recorded.
-const serveGateWarmOverheadMax = 1.10
-
-// serveGateFloorNs exempts sub-millisecond latency figures from the serve
-// gate: a p99 that small is one preempted goroutine away from any ratio,
-// so gating it would only gate the host's scheduler.
-const serveGateFloorNs = 1e6
-
-// gateServe audits the committed serving-benchmark file. A missing file is
-// fine (the serving suite may not have run on this checkout); a malformed
-// one is not. Returns gate failure messages; stale baselines only warn.
-func gateServe(path string, threshold float64) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		fmt.Printf("%-34s missing; serve gate skipped\n", path)
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f struct {
-		Baseline map[string]map[string]json.RawMessage `json:"baseline"`
-		Current  map[string]map[string]json.RawMessage `json:"current"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	names := make([]string, 0, len(f.Current))
-	for name := range f.Current {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	for _, name := range names {
-		cur := f.Current[name]
-		// The warm-overhead bound is absolute — it gates current alone, so
-		// it applies even to cases with no baseline yet.
-		status := "ok"
-		if ox, ok := rawFloat(cur["warm_overhead_x"]); ok && ox > serveGateWarmOverheadMax {
-			status = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s: %s warm_overhead_x %.3f exceeds the absolute bound %.2f",
-				path, name, ox, serveGateWarmOverheadMax))
-		}
-		base, ok := f.Baseline[name]
-		if !ok {
-			fmt.Printf("%-34s not in %s baseline; %s (absolute checks only)\n", name, path, status)
-			continue
-		}
-		truncated := false
-		if raw, ok := cur["truncated"]; ok {
-			_ = json.Unmarshal(raw, &truncated)
-		}
-		for _, m := range serveGateMetrics {
-			if m.skipTruncated && truncated {
-				continue
-			}
-			b, okB := rawFloat(base[m.field])
-			c, okC := rawFloat(cur[m.field])
-			if !okB || !okC || b <= 0 || c <= 0 {
-				continue
-			}
-			if m.nsFloor && b < serveGateFloorNs && c < serveGateFloorNs {
-				continue
-			}
-			ratio := c / b
-			if !m.lowerIsBetter {
-				ratio = b / c
-			}
-			if ratio > threshold {
-				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s: %s %s %.4g vs baseline %.4g is %.2fx worse (threshold %.2fx)",
-					path, name, m.field, c, b, ratio, threshold))
-			}
-		}
-		fmt.Printf("%-34s serve gate %s\n", name, status)
-	}
-	warnStaleRaw(path)
-	return failures, nil
-}
-
-// streamGateSpeedupMin is the absolute floor on the streaming steady
-// case's incremental-vs-scratch speedup: the rolling-horizon reuse
-// machinery must beat full scratch rescheduling at least 2x (at
-// bit-identical end states — cmd/streamgen refuses to record a speedup
-// otherwise).
-const streamGateSpeedupMin = 2.0
-
-// streamGateMetrics are the per-case figures gated against the baseline
-// in BENCH_stream.json, same conventions as serveGateMetrics: the gate
-// audits the committed file rather than re-replaying (a full replay
-// costs tens of seconds), latency gates upward, rates gate downward.
-var streamGateMetrics = []struct {
-	field         string
-	lowerIsBetter bool
-	nsFloor       bool
-}{
-	{field: "resched_p50_ns", lowerIsBetter: true, nsFloor: true},
-	{field: "resched_p99_ns", lowerIsBetter: true, nsFloor: true},
-	{field: "incremental_search_ns", lowerIsBetter: true},
-	{field: "replay_rate_eps"},
-}
-
-// streamGateRequired names the invariant flags each streaming case must
-// carry: cmd/streamgen only writes them true, so an absent or false flag
-// means the committed file was edited or produced by a broken run.
-var streamGateRequired = map[string]string{
-	"StreamSteadyPoisson": "end_bit_identical",
-	"StreamT0Batch":       "t0_match",
-	"StreamChurnFailures": "audit_clean",
-}
-
-// gateStream audits the committed streaming-benchmark file. A missing
-// file is fine (the streaming suite may not have run on this checkout);
-// a malformed one is not. Returns gate failure messages; stale baselines
-// only warn.
-func gateStream(path string, threshold float64) ([]string, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		fmt.Printf("%-34s missing; stream gate skipped\n", path)
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f struct {
-		Baseline map[string]map[string]json.RawMessage `json:"baseline"`
-		Current  map[string]map[string]json.RawMessage `json:"current"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	names := make([]string, 0, len(f.Current))
-	for name := range f.Current {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var failures []string
-	for _, name := range names {
-		cur := f.Current[name]
-		status := "ok"
-		// Absolute checks first — they gate current alone, baseline or not.
-		if flag, ok := streamGateRequired[name]; ok && !rawBool(cur[flag]) {
-			status = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s: %s %s is not true — invariant broken or file edited",
-				path, name, flag))
-		}
-		if sx, ok := rawFloat(cur["speedup_x"]); ok && sx < streamGateSpeedupMin {
-			status = "FAIL"
-			failures = append(failures, fmt.Sprintf("%s: %s speedup_x %.2f below the absolute floor %.1fx",
-				path, name, sx, streamGateSpeedupMin))
-		}
-		if p50, ok := rawFloat(cur["resched_p50_ns"]); ok {
-			if p99, ok := rawFloat(cur["resched_p99_ns"]); ok && p50 > p99 {
-				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s: %s resched_p50_ns %.4g exceeds resched_p99_ns %.4g",
-					path, name, p50, p99))
-			}
-		}
-		base, ok := f.Baseline[name]
-		if !ok {
-			fmt.Printf("%-34s not in %s baseline; %s (absolute checks only)\n", name, path, status)
-			continue
-		}
-		for _, m := range streamGateMetrics {
-			b, okB := rawFloat(base[m.field])
-			c, okC := rawFloat(cur[m.field])
-			if !okB || !okC || b <= 0 || c <= 0 {
-				continue
-			}
-			if m.nsFloor && b < serveGateFloorNs && c < serveGateFloorNs {
-				continue
-			}
-			ratio := c / b
-			if !m.lowerIsBetter {
-				ratio = b / c
-			}
-			if ratio > threshold {
-				status = "FAIL"
-				failures = append(failures, fmt.Sprintf("%s: %s %s %.4g vs baseline %.4g is %.2fx worse (threshold %.2fx)",
-					path, name, m.field, c, b, ratio, threshold))
-			}
-		}
-		fmt.Printf("%-34s stream gate %s\n", name, status)
-	}
-	warnStaleRaw(path)
-	return failures, nil
-}
-
-// rawBool decodes a raw JSON value as a bool; non-bools and absent
-// fields report false.
-func rawBool(raw json.RawMessage) bool {
-	if raw == nil {
-		return false
-	}
-	var v bool
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return false
-	}
-	return v
-}
-
-// rawFloat decodes a raw JSON value as a number; non-numbers (bools,
-// strings, absent fields) report false.
-func rawFloat(raw json.RawMessage) (float64, bool) {
-	if raw == nil {
-		return 0, false
-	}
-	var v float64
-	if err := json.Unmarshal(raw, &v); err != nil {
-		return 0, false
-	}
-	return v, true
 }
 
 // profiled wraps fn with optional CPU and heap profiling; the heap profile
@@ -637,19 +378,15 @@ func profiled(cpuPath, memPath string, fn func() error) error {
 
 func run(path, rebase string, reps int) error {
 	out := File{
-		Note:     "Mid-scale LoC-MPS scheduler benchmarks (synthetic graphs, CCR=0.1, seed 7). Baseline is preserved across runs; delete this file to re-baseline, or re-measure single cases with -rebaseline (reference scheduler: memo and resume off). Each figure is the fastest of -reps repetitions.",
-		CPUs:     runtime.NumCPU(),
-		Current:  map[string]Result{},
+		File: benchfile.File[Result]{Note: "Mid-scale LoC-MPS scheduler benchmarks (synthetic graphs, CCR=0.1, seed 7). Baseline is preserved across runs; delete this file to re-baseline, or re-measure single cases with -rebaseline (reference scheduler: memo and resume off). Each figure is the fastest of -reps repetitions.",
+			CPUs: runtime.NumCPU(), Current: map[string]Result{}},
 		SpeedupX: map[string]Speedup{},
 	}
-	if prev, err := load(path); err != nil {
+	var prev File
+	if _, err := benchfile.Load(path, &prev); err != nil {
 		return err
-	} else if prev != nil && len(prev.Baseline) > 0 {
-		out.Baseline = prev.Baseline
-		if prev.Note != "" {
-			out.Note = prev.Note
-		}
 	}
+	out.Adopt(prev.File)
 
 	for _, name := range splitNames(rebase) {
 		cs, ok := caseByName(name)
@@ -713,19 +450,7 @@ func run(path, rebase string, reps int) error {
 		fmt.Printf("%-34s portfolio %.6g = min over %d engines (winner %s, race %v)\n",
 			pc.name, e.PortfolioMakespan, len(e.EngineMakespans), e.Winner, time.Duration(e.RaceNs))
 	}
-	if out.Baseline == nil {
-		out.Baseline = out.Current
-		fmt.Println("no existing baseline: current run recorded as baseline")
-	} else {
-		// Cases added after the baseline was first recorded start their
-		// trajectory at this run.
-		for name, cur := range out.Current {
-			if _, ok := out.Baseline[name]; !ok {
-				out.Baseline[name] = cur
-				fmt.Printf("%-34s new case: current run backfilled into baseline\n", name)
-			}
-		}
-	}
+	out.Backfill("re-measure it with -rebaseline")
 	for name, cur := range out.Current {
 		if base, ok := out.Baseline[name]; ok && cur.NsPerOp > 0 && cur.AllocsPerOp > 0 {
 			out.SpeedupX[name] = Speedup{
@@ -736,15 +461,7 @@ func run(path, rebase string, reps int) error {
 				name, out.SpeedupX[name].Ns, out.SpeedupX[name].Allocs)
 		}
 	}
-	warnStale(&out)
-	warnStaleRaw("BENCH_serve.json")
-	warnStaleRaw("BENCH_stream.json")
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return benchfile.Save(path, &out)
 }
 
 // tradeoffCurve measures the anytime makespan-vs-latency curve on one
@@ -781,52 +498,6 @@ func tradeoffCurve(cs benchCase) ([]TradeoffPoint, error) {
 	return curve, nil
 }
 
-// warnStale flags every case whose baseline and current snapshots are
-// byte-identical: the 1.0x speedup such a pair produces is the fingerprint
-// of a backfilled (never re-measured) baseline, not a measurement.
-func warnStale(f *File) {
-	for name, cur := range f.Current {
-		base, ok := f.Baseline[name]
-		if !ok {
-			continue
-		}
-		bj, err1 := json.Marshal(base)
-		cj, err2 := json.Marshal(cur)
-		if err1 == nil && err2 == nil && bytes.Equal(bj, cj) {
-			fmt.Fprintf(os.Stderr,
-				"benchjson: warning: %s baseline == current byte-for-byte (stale backfill, speedup vacuously 1.0x); re-measure it with -rebaseline %s\n",
-				name, name)
-		}
-	}
-}
-
-// warnStaleRaw applies the same stale-baseline check to a sibling benchmark
-// file this tool does not write (currently BENCH_serve.json, produced by
-// cmd/loadgen): any case whose baseline and current raw JSON are
-// byte-identical is flagged. The file's schema doesn't matter — only the
-// baseline/current maps are compared — and a missing file is fine.
-func warnStaleRaw(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return
-	}
-	var f struct {
-		Baseline map[string]json.RawMessage `json:"baseline"`
-		Current  map[string]json.RawMessage `json:"current"`
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: warning: %s is not valid JSON: %v\n", path, err)
-		return
-	}
-	for name, cur := range f.Current {
-		if base, ok := f.Baseline[name]; ok && bytes.Equal(base, cur) {
-			fmt.Fprintf(os.Stderr,
-				"benchjson: warning: %s: %s baseline == current byte-for-byte (stale backfill); delete the file to re-baseline\n",
-				path, name)
-		}
-	}
-}
-
 func splitNames(s string) []string {
 	var out []string
 	for _, f := range strings.Split(s, ",") {
@@ -844,21 +515,6 @@ func caseByName(name string) (benchCase, bool) {
 		}
 	}
 	return benchCase{}, false
-}
-
-func load(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("existing %s is not valid: %w", path, err)
-	}
-	return &f, nil
 }
 
 // measure builds the same instance as the bench_test.go benchmark of the

@@ -13,11 +13,10 @@
 //     served from the cache — the ratio is the headline win of the
 //     result cache.
 //
-// The file keeps a "baseline" (written once, preserved on reruns) and a
-// "current" snapshot plus derived speedups, the same convention as
-// BENCH_locmps.json; delete the file to re-baseline. The host's CPU count
-// is recorded too: cold throughput is compute-bound, so scaling with worker
-// count is only observable when the host has at least that many CPUs.
+// The file uses the shared bench-file envelope of internal/benchfile plus
+// derived speedups. Cold throughput is compute-bound, so scaling with
+// worker count is only observable when the host has at least that many
+// CPUs (the envelope's "cpus").
 //
 // Three network cases ride along, each against self-hosted HTTP nodes: warm
 // throughput over the wire vs in-process on the same mid-scale stream, the
@@ -41,21 +40,20 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"locmps"
+	"locmps/internal/benchfile"
+	"locmps/internal/latring"
 )
 
 // Result is one load-generation snapshot. Throughput cases fill the phase
@@ -129,12 +127,7 @@ type Result struct {
 
 // File is the on-disk layout of BENCH_serve.json.
 type File struct {
-	Note string `json:"note,omitempty"`
-	// CPUs is the host's CPU count when "current" was recorded. Cold
-	// throughput cannot scale past it regardless of worker count.
-	CPUs     int                `json:"cpus"`
-	Baseline map[string]Result  `json:"baseline"`
-	Current  map[string]Result  `json:"current"`
+	benchfile.File[Result]
 	SpeedupX map[string]Speedup `json:"speedup_vs_baseline"`
 }
 
@@ -234,7 +227,6 @@ func run(path string, smoke bool, workers int, deadline time.Duration) error {
 	if deadline > 0 {
 		cfg.deadline = deadline
 	}
-	cpus := runtime.NumCPU()
 	if procs, max := runtime.GOMAXPROCS(0), cfg.workerCounts[len(cfg.workerCounts)-1]; max > procs {
 		fmt.Fprintf(os.Stderr,
 			"loadgen: warning: %d workers exceed GOMAXPROCS=%d; they will time-slice, not parallelize — cold throughput and latency will not reflect %d-way hardware\n",
@@ -278,9 +270,7 @@ func run(path string, smoke bool, workers int, deadline time.Duration) error {
 	}
 	portName := "LoadgenPortfolio"
 	current[portName] = port
-	fmt.Printf("%-38s race of %d engines %v (winner %s); warm routed p50 %v vs direct %v = %.3fx overhead (%d winner hits)\n",
-		portName, port.PortfolioEngines, time.Duration(port.RaceNs), port.PortfolioWinner,
-		time.Duration(port.WinnerRoutedP50Ns), time.Duration(port.DirectP50Ns), port.WarmOverheadX, port.WinnerHits)
+	printPortfolio(portName, port)
 
 	net, err := netCase(cfg)
 	if err != nil {
@@ -317,35 +307,16 @@ func run(path string, smoke bool, workers int, deadline time.Duration) error {
 	}
 
 	out := File{
-		Note:     "Scheduling-service load generation (closed loop): cold and cache-hit throughput and latency per worker count, plus the cache-hit speedup on one mid-scale instance. Baseline is preserved across runs; delete this file to re-baseline. Cold throughput is compute-bound and only scales with workers when the host has as many CPUs (see \"cpus\").",
-		CPUs:     cpus,
-		Current:  current,
+		File: benchfile.File[Result]{Note: "Scheduling-service load generation (closed loop): cold and cache-hit throughput and latency per worker count, plus the cache-hit speedup on one mid-scale instance. Baseline is preserved across runs; delete this file to re-baseline. Cold throughput is compute-bound and only scales with workers when the host has as many CPUs (see \"cpus\").",
+			CPUs: runtime.NumCPU(), Current: current},
 		SpeedupX: map[string]Speedup{},
 	}
-	if prev, err := load(path); err != nil {
+	var prev File
+	if _, err := benchfile.Load(path, &prev); err != nil {
 		return err
-	} else if prev != nil && len(prev.Baseline) > 0 {
-		out.Baseline = prev.Baseline
-		if prev.Note != "" {
-			out.Note = prev.Note
-		}
 	}
-	justBaselined := map[string]bool{}
-	if out.Baseline == nil {
-		out.Baseline = out.Current
-		for name := range out.Current {
-			justBaselined[name] = true
-		}
-		fmt.Println("no existing baseline: current run recorded as baseline")
-	} else {
-		for name, cur := range out.Current {
-			if _, ok := out.Baseline[name]; !ok {
-				out.Baseline[name] = cur
-				justBaselined[name] = true
-				fmt.Printf("%-38s new case: current run backfilled into baseline\n", name)
-			}
-		}
-	}
+	out.Adopt(prev.File)
+	out.Backfill("delete " + path + " to re-baseline")
 	for name, cur := range out.Current {
 		base, ok := out.Baseline[name]
 		if !ok {
@@ -362,13 +333,7 @@ func run(path string, smoke bool, workers int, deadline time.Duration) error {
 			out.SpeedupX[name] = sp
 		}
 	}
-	warnStale(&out, justBaselined)
-
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return benchfile.Save(path, &out)
 }
 
 // smokeChecks validates the invariants a CI smoke run cares about: the
@@ -441,14 +406,18 @@ func portfolioSmoke() error {
 		return err
 	}
 	name := "LoadgenPortfolio"
-	fmt.Printf("%-38s race of %d engines %v (winner %s); warm routed p50 %v vs direct %v = %.3fx overhead (%d winner hits)\n",
-		name, port.PortfolioEngines, time.Duration(port.RaceNs), port.PortfolioWinner,
-		time.Duration(port.WinnerRoutedP50Ns), time.Duration(port.DirectP50Ns), port.WarmOverheadX, port.WinnerHits)
+	printPortfolio(name, port)
 	if err := portfolioChecks(port, name); err != nil {
 		return err
 	}
 	fmt.Println("portfolio smoke passed")
 	return nil
+}
+
+func printPortfolio(name string, port Result) {
+	fmt.Printf("%-38s race of %d engines %v (winner %s); warm routed p50 %v vs direct %v = %.3fx overhead (%d winner hits)\n",
+		name, port.PortfolioEngines, time.Duration(port.RaceNs), port.PortfolioWinner,
+		time.Duration(port.WinnerRoutedP50Ns), time.Duration(port.DirectP50Ns), port.WarmOverheadX, port.WinnerHits)
 }
 
 // portfolioChecks validates the portfolio case's invariants: the winner
@@ -492,9 +461,9 @@ func stream(n, tasks, procs int, seedBase int64) ([]locmps.ServiceRequest, error
 	return reqs, nil
 }
 
-// drive pushes rounds×reqs through the service with `concurrency` closed-loop
+// drive pushes rounds×reqs through do with `concurrency` closed-loop
 // submitters and returns the wall time and per-request latencies.
-func drive(svc *locmps.Service, reqs []locmps.ServiceRequest, rounds, concurrency int) (time.Duration, []time.Duration, error) {
+func drive(do func(locmps.ServiceRequest) error, reqs []locmps.ServiceRequest, rounds, concurrency int) (time.Duration, []time.Duration, error) {
 	total := rounds * len(reqs)
 	lats := make([]time.Duration, total)
 	sem := make(chan struct{}, concurrency)
@@ -506,9 +475,8 @@ func drive(svc *locmps.Service, reqs []locmps.ServiceRequest, rounds, concurrenc
 		wg.Add(1)
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			req := reqs[i%len(reqs)]
 			t0 := time.Now()
-			if _, err := svc.Schedule(req); err != nil {
+			if err := do(reqs[i%len(reqs)]); err != nil {
 				errCh <- err
 				return
 			}
@@ -525,22 +493,20 @@ func drive(svc *locmps.Service, reqs []locmps.ServiceRequest, rounds, concurrenc
 	return elapsed, lats, nil
 }
 
-// quantile is the nearest-rank percentile of lats — the same rank rule as
-// internal/latring, so the driver-side and service-side quantiles agree.
-func quantile(lats []time.Duration, q int) time.Duration {
-	if len(lats) == 0 {
-		return 0
+// inproc submits to a Service in-process.
+func inproc(svc *locmps.Service) func(locmps.ServiceRequest) error {
+	return func(r locmps.ServiceRequest) error {
+		_, err := svc.Schedule(r)
+		return err
 	}
-	cp := append([]time.Duration(nil), lats...)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	i := (len(cp)*q + 99) / 100
-	if i < 1 {
-		i = 1
+}
+
+// overHTTP submits through a fleet client.
+func overHTTP(c *locmps.Client) func(locmps.ServiceRequest) error {
+	return func(r locmps.ServiceRequest) error {
+		_, err := c.Schedule(context.Background(), r)
+		return err
 	}
-	if i > len(cp) {
-		i = len(cp)
-	}
-	return cp[i-1]
 }
 
 // throughputCase measures one worker count: a cold pass over distinct
@@ -560,11 +526,11 @@ func throughputCase(workers int, cfg config) (Result, error) {
 
 	// Oversubscribe the submitters slightly so every shard queue stays fed.
 	concurrency := 2 * workers
-	coldWall, coldLats, err := drive(svc, reqs, 1, concurrency)
+	coldWall, coldLats, err := drive(inproc(svc), reqs, 1, concurrency)
 	if err != nil {
 		return Result{}, err
 	}
-	warmWall, warmLats, err := drive(svc, reqs, cfg.warmRounds, concurrency)
+	warmWall, warmLats, err := drive(inproc(svc), reqs, cfg.warmRounds, concurrency)
 	if err != nil {
 		return Result{}, err
 	}
@@ -576,11 +542,11 @@ func throughputCase(workers int, cfg config) (Result, error) {
 		Workers:         workers,
 		Distinct:        cfg.distinct,
 		ColdSchedPerSec: float64(len(reqs)) / coldWall.Seconds(),
-		ColdP50Ns:       float64(quantile(coldLats, 50)),
-		ColdP99Ns:       float64(quantile(coldLats, 99)),
+		ColdP50Ns:       float64(latring.Quantile(coldLats, 50)),
+		ColdP99Ns:       float64(latring.Quantile(coldLats, 99)),
 		WarmSchedPerSec: float64(len(warmLats)) / warmWall.Seconds(),
-		WarmP50Ns:       float64(quantile(warmLats, 50)),
-		WarmP99Ns:       float64(quantile(warmLats, 99)),
+		WarmP50Ns:       float64(latring.Quantile(warmLats, 50)),
+		WarmP99Ns:       float64(latring.Quantile(warmLats, 99)),
 		Rejected:        st.Rejected,
 		Cancelled:       st.Cancelled,
 	}, nil
@@ -593,7 +559,6 @@ func hitSpeedupCase(cfg config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	req := reqs[0]
 	svc := locmps.NewService(locmps.ServiceConfig{
 		Shards:          1,
 		WorkersPerShard: 1,
@@ -602,24 +567,19 @@ func hitSpeedupCase(cfg config) (Result, error) {
 	})
 	defer svc.Close()
 
-	t0 := time.Now()
-	if _, err := svc.Schedule(req); err != nil {
+	_, cold, err := drive(inproc(svc), reqs, 1, 1)
+	if err != nil {
 		return Result{}, err
 	}
-	coldNs := float64(time.Since(t0))
-
-	hits := make([]time.Duration, cfg.hitReps)
-	for i := range hits {
-		t0 = time.Now()
-		if _, err := svc.Schedule(req); err != nil {
-			return Result{}, err
-		}
-		hits[i] = time.Since(t0)
+	_, hits, err := drive(inproc(svc), reqs, cfg.hitReps, 1)
+	if err != nil {
+		return Result{}, err
 	}
+	coldNs := float64(cold[0])
 	if st := svc.Stats(); st.CacheHits != uint64(cfg.hitReps) {
 		return Result{}, fmt.Errorf("hit case: %d cache hits, want %d", st.CacheHits, cfg.hitReps)
 	}
-	warmNs := float64(quantile(hits, 50))
+	warmNs := float64(latring.Quantile(hits, 50))
 	return Result{
 		ColdNs:      coldNs,
 		WarmHitNs:   warmNs,
@@ -751,34 +711,14 @@ func portfolioCase(cfg config) (Result, error) {
 		PortfolioEngines:  len(raceReq.Portfolio),
 		RaceNs:            raceNs,
 		PortfolioWinner:   winner,
-		WinnerRoutedP50Ns: float64(quantile(routed, 50)),
-		DirectP50Ns:       float64(quantile(direct, 50)),
+		WinnerRoutedP50Ns: float64(latring.Quantile(routed, 50)),
+		DirectP50Ns:       float64(latring.Quantile(direct, 50)),
 		WinnerHits:        st.WinnerHits,
 	}
 	if r.DirectP50Ns > 0 {
 		r.WarmOverheadX = r.WinnerRoutedP50Ns / r.DirectP50Ns
 	}
 	return r, nil
-}
-
-// warnStale flags cases whose baseline and current snapshots are
-// byte-identical — the fingerprint of a backfilled, never re-measured
-// baseline. Cases baselined by this very run are exempt: their equality is
-// by construction, not staleness.
-func warnStale(f *File, justBaselined map[string]bool) {
-	for name, cur := range f.Current {
-		base, ok := f.Baseline[name]
-		if !ok || justBaselined[name] {
-			continue
-		}
-		bj, err1 := json.Marshal(base)
-		cj, err2 := json.Marshal(cur)
-		if err1 == nil && err2 == nil && bytes.Equal(bj, cj) {
-			fmt.Fprintf(os.Stderr,
-				"loadgen: warning: %s baseline == current byte-for-byte (stale backfill); delete %s to re-baseline\n",
-				name, "BENCH_serve.json")
-		}
-	}
 }
 
 // node is one self-hosted scheduling node: a Service behind the HTTP
@@ -827,44 +767,10 @@ func slowBy(d time.Duration) func(http.Handler) http.Handler {
 	}
 }
 
-// driveClient is drive over HTTP: rounds×reqs closed-loop through a fleet
-// client.
-func driveClient(c *locmps.Client, reqs []locmps.ServiceRequest, rounds, concurrency int) (time.Duration, []time.Duration, error) {
-	total := rounds * len(reqs)
-	lats := make([]time.Duration, total)
-	sem := make(chan struct{}, concurrency)
-	errCh := make(chan error, total)
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	begin := time.Now()
-	for i := 0; i < total; i++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			t0 := time.Now()
-			if _, err := c.Schedule(ctx, reqs[i%len(reqs)]); err != nil {
-				errCh <- err
-				return
-			}
-			lats[i] = time.Since(t0)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(begin)
-	select {
-	case err := <-errCh:
-		return 0, nil, err
-	default:
-	}
-	return elapsed, lats, nil
-}
-
 // sumCounters folds the per-node admission and disruption counters into r.
-func sumCounters(r *Result, nodes ...*node) {
+func sumCounters(r *Result, nodes ...locmps.NodeStats) {
 	var served uint64
-	for _, n := range nodes {
-		st := n.srv.Stats()
+	for _, st := range nodes {
 		r.Rejected += st.Rejected
 		r.Cancelled += st.Cancelled
 		r.Shed += st.Shed
@@ -892,10 +798,10 @@ func netCase(cfg config) (Result, error) {
 	// In-process reference: warm throughput on the same stream.
 	ref := locmps.NewService(svcCfg)
 	defer ref.Close()
-	if _, _, err := drive(ref, reqs, 1, 4); err != nil {
+	if _, _, err := drive(inproc(ref), reqs, 1, 4); err != nil {
 		return Result{}, err
 	}
-	inprocWall, _, err := drive(ref, reqs, cfg.netRounds, 4)
+	inprocWall, _, err := drive(inproc(ref), reqs, cfg.netRounds, 4)
 	if err != nil {
 		return Result{}, err
 	}
@@ -925,28 +831,28 @@ func netCase(cfg config) (Result, error) {
 		return Result{}, err
 	}
 
-	coldWall, coldLats, err := driveClient(client, reqs, 1, 4)
+	coldWall, coldLats, err := drive(overHTTP(client), reqs, 1, 4)
 	if err != nil {
 		return Result{}, err
 	}
-	warmWall, warmLats, err := driveClient(client, reqs, cfg.netRounds, 4)
+	warmWall, warmLats, err := drive(overHTTP(client), reqs, cfg.netRounds, 4)
 	if err != nil {
 		return Result{}, err
 	}
 	r := Result{
 		Distinct:              cfg.netDistinct,
 		NetColdSchedPerSec:    float64(len(coldLats)) / coldWall.Seconds(),
-		NetColdP50Ns:          float64(quantile(coldLats, 50)),
-		NetColdP99Ns:          float64(quantile(coldLats, 99)),
+		NetColdP50Ns:          float64(latring.Quantile(coldLats, 50)),
+		NetColdP99Ns:          float64(latring.Quantile(coldLats, 99)),
 		NetWarmSchedPerSec:    float64(len(warmLats)) / warmWall.Seconds(),
-		NetWarmP50Ns:          float64(quantile(warmLats, 50)),
-		NetWarmP99Ns:          float64(quantile(warmLats, 99)),
+		NetWarmP50Ns:          float64(latring.Quantile(warmLats, 50)),
+		NetWarmP99Ns:          float64(latring.Quantile(warmLats, 99)),
 		InprocWarmSchedPerSec: inprocWarm,
 	}
 	if inprocWarm > 0 {
 		r.NetVsInprocWarmX = r.NetWarmSchedPerSec / inprocWarm
 	}
-	sumCounters(&r, a, b)
+	sumCounters(&r, a.srv.Stats(), b.srv.Stats())
 	return r, nil
 }
 
@@ -1013,35 +919,24 @@ func hedgeCase(cfg config) (Result, error) {
 		return Result{}, err
 	}
 
-	measure := func(c *locmps.Client) ([]time.Duration, error) {
-		lats := make([]time.Duration, cfg.hedgeReps)
-		ctx := context.Background()
-		for i := range lats {
-			t0 := time.Now()
-			if _, err := c.Schedule(ctx, req); err != nil {
-				return nil, err
-			}
-			lats[i] = time.Since(t0)
-		}
-		return lats, nil
-	}
-	slowLats, err := measure(unhedged)
+	reqs := []locmps.ServiceRequest{req}
+	_, slowLats, err := drive(overHTTP(unhedged), reqs, cfg.hedgeReps, 1)
 	if err != nil {
 		return Result{}, err
 	}
-	fastLats, err := measure(hedged)
+	_, fastLats, err := drive(overHTTP(hedged), reqs, cfg.hedgeReps, 1)
 	if err != nil {
 		return Result{}, err
 	}
 	r := Result{
-		UnhedgedP99Ns: float64(quantile(slowLats, 99)),
-		HedgedP99Ns:   float64(quantile(fastLats, 99)),
+		UnhedgedP99Ns: float64(latring.Quantile(slowLats, 99)),
+		HedgedP99Ns:   float64(latring.Quantile(fastLats, 99)),
 		Hedges:        hedged.Stats().Hedges,
 	}
 	if r.HedgedP99Ns > 0 {
 		r.HedgeWinX = r.UnhedgedP99Ns / r.HedgedP99Ns
 	}
-	sumCounters(&r, slow, fast)
+	sumCounters(&r, slow.srv.Stats(), fast.srv.Stats())
 	return r, nil
 }
 
@@ -1113,7 +1008,7 @@ func l2RestartCase(cfg config) (Result, error) {
 		return Result{}, err
 	}
 	r := Result{ColdNs: coldNs, WarmHitNs: hitNs, HitSpeedupX: coldNs / hitNs}
-	sumCounters(&r, n2)
+	sumCounters(&r, n2.srv.Stats())
 	return r, nil
 }
 
@@ -1145,64 +1040,46 @@ func remote(addr string, smoke bool, expectL2 int) error {
 	if err != nil {
 		return err
 	}
-	coldWall, coldLats, err := driveClient(client, reqs, 1, 4)
+	coldWall, coldLats, err := drive(overHTTP(client), reqs, 1, 4)
 	if err != nil {
 		return err
 	}
-	warmWall, warmLats, err := driveClient(client, reqs, cfg.warmRounds, 4)
+	warmWall, warmLats, err := drive(overHTTP(client), reqs, cfg.warmRounds, 4)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("first pass %8.2f sched/s (p50 %v, p99 %v)   replay %9.0f sched/s (p50 %v, p99 %v)\n",
-		float64(len(coldLats))/coldWall.Seconds(), quantile(coldLats, 50), quantile(coldLats, 99),
-		float64(len(warmLats))/warmWall.Seconds(), quantile(warmLats, 50), quantile(warmLats, 99))
+		float64(len(coldLats))/coldWall.Seconds(), latring.Quantile(coldLats, 50), latring.Quantile(coldLats, 99),
+		float64(len(warmLats))/warmWall.Seconds(), latring.Quantile(warmLats, 50), latring.Quantile(warmLats, 99))
 
 	stats, err := client.NodeStats(ctx)
 	if err != nil {
 		return err
 	}
-	var rejected, cancelled, shed, served, failed, l2hits uint64
+	var (
+		all    []locmps.NodeStats
+		failed uint64
+		tot    Result
+	)
 	for _, n := range client.Nodes() {
 		st := stats[n]
-		rejected += st.Rejected
-		cancelled += st.Cancelled
-		shed += st.Shed
-		served += st.Served
+		all = append(all, st)
 		failed += st.Failed
-		l2hits += st.L2Hits
 		fmt.Printf("%-28s requests %5d  cache hits %5d  l2 hits %4d  rejected %3d  cancelled %3d  shed %3d\n",
 			n, st.Requests, st.CacheHits, st.L2Hits, st.Rejected, st.Cancelled, st.Shed)
 	}
-	var shedFrac float64
-	if total := served + shed; total > 0 {
-		shedFrac = float64(shed) / float64(total)
-	}
+	sumCounters(&tot, all...)
 	fmt.Printf("totals: rejected %d, cancelled %d, shed %d (%.1f%% of attempts), l2 hits %d\n",
-		rejected, cancelled, shed, 100*shedFrac, l2hits)
+		tot.Rejected, tot.Cancelled, tot.Shed, 100*tot.ShedFraction, tot.L2Hits)
 	if failed != 0 {
 		return fmt.Errorf("nodes report %d failed runs", failed)
 	}
 	if cs := client.Stats(); cs.Hedges+cs.Failovers > 0 {
 		fmt.Printf("client: %d hedges (%d wins), %d failovers\n", cs.Hedges, cs.HedgeWins, cs.Failovers)
 	}
-	if expectL2 > 0 && l2hits < uint64(expectL2) {
-		return fmt.Errorf("expected >= %d L2 hits across nodes, saw %d", expectL2, l2hits)
+	if expectL2 > 0 && tot.L2Hits < uint64(expectL2) {
+		return fmt.Errorf("expected >= %d L2 hits across nodes, saw %d", expectL2, tot.L2Hits)
 	}
 	fmt.Println("remote drive passed")
 	return nil
-}
-
-func load(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("existing %s is not valid: %w", path, err)
-	}
-	return &f, nil
 }

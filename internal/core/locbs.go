@@ -115,22 +115,28 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 		// scratch recycled from another search starts cold.
 		sc.costBuf.SetShareEpoch(resumeKey)
 	}
-	for t, pl := range preset.Fixed {
-		e.sched.Placements[t] = pl
-		sc.preset[t] = true
-		// Fixed tasks that are still running block their processors. On
-		// resume the chart still holds these reservations (the trace key
-		// pins the preset), so they must not be booked twice.
-		if !resume {
-			for _, proc := range pl.Procs {
-				sc.chart.reserve(proc, pl.Start, pl.Finish)
-			}
-		}
-	}
+	// On resume the chart still holds the preset reservations (the trace
+	// key pins the preset), so they must not be booked twice.
 	if !resume && preset.BusyUntil != nil {
 		for proc, until := range preset.BusyUntil {
 			if until > 0 {
 				sc.chart.reserve(proc, 0, until)
+			}
+		}
+	}
+	for t, pl := range preset.Fixed {
+		e.sched.Placements[t] = pl
+		sc.preset[t] = true
+		// Fixed tasks that are still running block their processors past
+		// the busy frontier; the part inside [0, BusyUntil) is already
+		// booked, and the chart's spans must stay disjoint.
+		if !resume {
+			for _, proc := range pl.Procs {
+				start := pl.Start
+				if preset.BusyUntil != nil {
+					start = math.Max(start, preset.BusyUntil[proc])
+				}
+				sc.chart.reserve(proc, start, pl.Finish)
 			}
 		}
 	}

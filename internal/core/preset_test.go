@@ -144,3 +144,42 @@ func TestScheduleWithPresetReallocatesRemaining(t *testing.T) {
 		t.Errorf("fixed task modified: %+v", s.Placements[0])
 	}
 }
+
+// TestLoCBSWithPresetFixedInsideBusyUntil: a fixed task that ran wholly
+// or partly before the busy frontier (a stream's completed and running
+// tasks at "now") must not reopen the past — new work on its processors
+// starts at BusyUntil or later, and never overlaps the fixed span.
+func TestLoCBSWithPresetFixedInsideBusyUntil(t *testing.T) {
+	tg := mustTG(t,
+		[]model.Task{
+			tableTask(t, "done", 5),
+			tableTask(t, "running", 10),
+			tableTask(t, "new", 1),
+			tableTask(t, "new2", 1),
+		}, nil)
+	c := model.Cluster{P: 2, Bandwidth: 1e6, Overlap: true}
+	fixed := map[int]schedule.Placement{
+		0: {Procs: []int{0}, Start: 0, Finish: 5},
+		1: {Procs: []int{1}, Start: 2, Finish: 12},
+	}
+	busy := []float64{10, 10}
+	noBackfill := DefaultConfig()
+	noBackfill.Backfill = false
+	for _, cfg := range []Config{DefaultConfig(), noBackfill} {
+		s, err := LoCBSWithPreset(tg, c, []int{1, 1, 1, 1}, cfg, Preset{Fixed: fixed, BusyUntil: busy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for task := 2; task < tg.N(); task++ {
+			pl := s.Placements[task]
+			for _, p := range pl.Procs {
+				if pl.Start < busy[p]-schedule.Eps {
+					t.Errorf("%s: task %d starts at %v on processor %d, busy until %v", engineName(cfg), task, pl.Start, p, busy[p])
+				}
+				if p == 1 && pl.Start < 12-schedule.Eps {
+					t.Errorf("%s: task %d at %v overlaps the running task on processor 1", engineName(cfg), task, pl.Start)
+				}
+			}
+		}
+	}
+}

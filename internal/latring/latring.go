@@ -7,7 +7,7 @@
 package latring
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -17,8 +17,8 @@ import (
 // concurrent use.
 type Ring struct {
 	mu  sync.Mutex
-	buf []int64 // nanoseconds
-	n   int     // total recordings ever; buf index wraps at len(buf)
+	buf []time.Duration
+	n   int // total recordings ever; buf index wraps at len(buf)
 }
 
 // New returns a ring holding the most recent size samples (at least 1).
@@ -26,14 +26,14 @@ func New(size int) *Ring {
 	if size < 1 {
 		size = 1
 	}
-	return &Ring{buf: make([]int64, size)}
+	return &Ring{buf: make([]time.Duration, size)}
 }
 
 // Record appends one latency, overwriting the oldest once the window is
 // full.
 func (r *Ring) Record(d time.Duration) {
 	r.mu.Lock()
-	r.buf[r.n%len(r.buf)] = int64(d)
+	r.buf[r.n%len(r.buf)] = d
 	r.n++
 	r.mu.Unlock()
 }
@@ -54,50 +54,44 @@ func (r *Ring) filled() int {
 }
 
 // snapshot copies the currently held samples in ascending order.
-func (r *Ring) snapshot() []int64 {
+func (r *Ring) snapshot() []time.Duration {
 	r.mu.Lock()
-	m := r.filled()
-	cp := make([]int64, m)
-	copy(cp, r.buf[:m])
+	cp := slices.Clone(r.buf[:r.filled()])
 	r.mu.Unlock()
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	slices.Sort(cp)
 	return cp
 }
 
-// rank maps a percentile to its nearest-rank index in a sorted sample of m
-// elements: ceil(q/100 * m) - 1, clamped to [0, m-1]. Unlike the naive
-// (m-1)*q/100 it never under-indexes the tail — with 2 samples the p99 is
-// the larger one, not the smaller.
-func rank(m, q int) int {
-	if m < 1 {
+// Quantile reports the q-th percentile (nearest rank) of lats, or 0 when
+// lats is empty; lats itself is left unsorted. The driver-side quantiles of
+// the bench tools and the service's window share this one rank rule.
+func Quantile(lats []time.Duration, q int) time.Duration {
+	cp := slices.Clone(lats)
+	slices.Sort(cp)
+	return nearestRank(cp, q)
+}
+
+// nearestRank returns the sample at index ceil(q/100 * m) - 1 of the sorted
+// m samples, clamped to [0, m-1]. Unlike the naive (m-1)*q/100 it never
+// under-indexes the tail — with 2 samples the p99 is the larger one, not
+// the smaller.
+func nearestRank(sorted []time.Duration, q int) time.Duration {
+	m := len(sorted)
+	if m == 0 {
 		return 0
 	}
-	i := (m*q + 99) / 100
-	if i < 1 {
-		i = 1
-	}
-	if i > m {
-		i = m
-	}
-	return i - 1
+	return sorted[min(max((m*q+99)/100, 1), m)-1]
 }
 
 // Quantile reports the q-th percentile (nearest rank) of the window, or 0
 // when the window is empty.
 func (r *Ring) Quantile(q int) time.Duration {
-	cp := r.snapshot()
-	if len(cp) == 0 {
-		return 0
-	}
-	return time.Duration(cp[rank(len(cp), q)])
+	return nearestRank(r.snapshot(), q)
 }
 
 // Quantiles reports the window's p50 and p99 in one pass (zeros when
 // empty). p50 <= p99 always: the rank function is monotone in q.
 func (r *Ring) Quantiles() (p50, p99 time.Duration) {
 	cp := r.snapshot()
-	if len(cp) == 0 {
-		return 0, 0
-	}
-	return time.Duration(cp[rank(len(cp), 50)]), time.Duration(cp[rank(len(cp), 99)])
+	return nearestRank(cp, 50), nearestRank(cp, 99)
 }

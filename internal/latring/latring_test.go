@@ -139,3 +139,29 @@ func TestConcurrentRecord(t *testing.T) {
 		t.Fatalf("Count=%d, want full window 64", n)
 	}
 }
+
+// TestQuantileSlice: the slice form uses the window's rank rule and leaves
+// its input unsorted.
+func TestQuantileSlice(t *testing.T) {
+	if got := Quantile(nil, 99); got != 0 {
+		t.Fatalf("empty: %v, want 0", got)
+	}
+	lats := []time.Duration{100, 1}
+	if p50, p99 := Quantile(lats, 50), Quantile(lats, 99); p50 != 1 || p99 != 100 {
+		t.Fatalf("two samples: p50=%v p99=%v, want 1 and 100", p50, p99)
+	}
+	if lats[0] != 100 {
+		t.Fatal("Quantile sorted its input")
+	}
+	r := New(100)
+	var xs []time.Duration
+	for i := 37; i > 0; i-- {
+		r.Record(time.Duration(i))
+		xs = append(xs, time.Duration(i))
+	}
+	for _, q := range []int{1, 25, 50, 90, 99, 100} {
+		if a, b := Quantile(xs, q), r.Quantile(q); a != b {
+			t.Errorf("p%d: slice %v, window %v", q, a, b)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -397,6 +398,7 @@ func TestBadRequests(t *testing.T) {
 		"{not json",
 		`{"schema":"locmps/wire/v999","tasks":[{"et":[1]}],"cluster":{"p":1,"bandwidth":1}}`,
 		`{"schema":"locmps/wire/v1","tasks":[],"cluster":{"p":1,"bandwidth":1}}`,
+		fmt.Sprintf(`{"schema":"locmps/wire/v2","tasks":[{"et":[1]}],"cluster":{"p":%d,"bandwidth":1}}`, serve.MaxWireProcs+1),
 	} {
 		resp, err := http.Post(node.URL+"/v1/schedule", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -146,14 +146,24 @@ func WireFromRequest(r Request, b core.Budget) (*WireRequest, error) {
 	return w, nil
 }
 
+// MaxWireProcs caps the cluster size a wire request may declare.
+// Fingerprinting samples every task's curve at 1..P, so an uncapped P lets
+// one small body buy O(N·P) work before admission control sees it. The cap
+// sits far above any cluster the scheduler is run on.
+const MaxWireProcs = 4096
+
 // ToRequest decodes the wire form back into a Request and budget. The
 // returned budget's Deadline, when present, is re-anchored at the local
 // clock: now + DeadlineNS. It validates the schema version, the graph and
-// the cluster; a request that decodes successfully always fingerprints.
+// the cluster (P at most MaxWireProcs); a request that decodes successfully
+// always fingerprints.
 func (w *WireRequest) ToRequest() (Request, core.Budget, error) {
 	var b core.Budget
 	if !WireSchemaOK(w.Schema) {
 		return Request{}, b, fmt.Errorf("serve: wire schema %q not supported (this node speaks %q)", w.Schema, WireVersion)
+	}
+	if w.Cluster.P > MaxWireProcs {
+		return Request{}, b, fmt.Errorf("serve: cluster P=%d exceeds the wire limit %d", w.Cluster.P, MaxWireProcs)
 	}
 	tasks := make([]model.Task, len(w.Tasks))
 	for i, wt := range w.Tasks {

@@ -363,6 +363,28 @@ func TestWireVersionRejected(t *testing.T) {
 	}
 }
 
+// TestWireClusterSizeCap: P = MaxWireProcs decodes, one more is rejected
+// before any per-processor work is done.
+func TestWireClusterSizeCap(t *testing.T) {
+	for _, tc := range []struct {
+		p  int
+		ok bool
+	}{{MaxWireProcs, true}, {MaxWireProcs + 1, false}} {
+		w := WireRequest{
+			Schema:  WireVersion,
+			Tasks:   []WireTask{{ET: []float64{4, 2.5, 2}}},
+			Cluster: WireCluster{P: tc.p, Bandwidth: 1e6},
+		}
+		_, _, err := w.ToRequest()
+		if tc.ok && err != nil {
+			t.Errorf("P=%d rejected: %v", tc.p, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("P=%d accepted above the cap", tc.p)
+		}
+	}
+}
+
 // TestWireV1StillAccepted: wire/v2 only added the optional portfolio field,
 // so payloads from v1 senders must keep decoding — a rolling fleet upgrade
 // cannot require both sides to flip at once.

@@ -339,6 +339,11 @@ func (s *Sim) Step() (EventRecord, bool, error) {
 		}
 		return EventRecord{}, false, nil
 	}
+	if t < s.now {
+		// Only a plan that placed work in the past can schedule an event
+		// before now; replaying it would corrupt the executed record.
+		return EventRecord{}, false, fmt.Errorf("stream: next event at t=%v precedes now=%v: the plan placed work in the past", t, s.now)
+	}
 	s.now = t
 	rec := EventRecord{Time: t}
 

@@ -336,3 +336,18 @@ func TestUnionGraphOrdersByArrival(t *testing.T) {
 		t.Errorf("union not in arrival order: task 0 is %q", union.Tasks[0].Name)
 	}
 }
+
+// TestStreamEndStateExclusive replays a sparse Poisson stream on a wide
+// cluster: completions far outnumber arrivals, so most searches run
+// with started tasks fixed inside the busy-until-now frontier. The
+// drained end state must still book every processor exclusively.
+func TestStreamEndStateExclusive(t *testing.T) {
+	jobs := poissonJobs(t, PoissonOpts{Jobs: 8, Rate: 0.01, MinTasks: 6, MaxTasks: 16, Seed: 1})
+	res, err := Run(Config{Cluster: model.Cluster{P: 64, Bandwidth: 12.5e6, Overlap: true}, Jobs: jobs})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if err := audit.Check(res.EndGraph, res.End, audit.Options{RequireAccounting: true}).Err(); err != nil {
+		t.Errorf("end state failed audit: %v", err)
+	}
+}
