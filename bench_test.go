@@ -43,6 +43,7 @@ func reportRatios(b *testing.B, f locmps.Figure) {
 // ratios once; every figure benchmark below shares this body.
 func benchFigure(b *testing.B, gen func() (locmps.Figure, error)) {
 	b.Helper()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f, err := gen()
 		if err != nil {
@@ -105,6 +106,7 @@ func BenchmarkFig9Strassen4096(b *testing.B) {
 
 // BenchmarkFig10SchedulingTimes measures the schedulers themselves (CCSD).
 func BenchmarkFig10SchedulingTimes(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := locmps.Fig10("ccsd", benchApps()); err != nil {
 			b.Fatal(err)
@@ -229,6 +231,7 @@ func BenchmarkAblationLookAhead(b *testing.B) {
 	o.Suite.Graphs = 2
 	o.Suite.MinTasks, o.Suite.MaxTasks = 10, 16
 	o.Procs = 8
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		perf, _, err := locmps.AblateLookAhead(o, []int{1, 20})
 		if err != nil {
@@ -253,6 +256,7 @@ func BenchmarkOptimalityGap(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := locmps.Cluster{P: 3, Bandwidth: p.Bandwidth, Overlap: true}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opt, err := locmps.NewOptimal().Schedule(tg, c)
 		if err != nil {

@@ -379,9 +379,10 @@ func profiled(cpuPath, memPath string, fn func() error) error {
 func run(path, rebase string, reps int) error {
 	out := File{
 		File: benchfile.File[Result]{Note: "Mid-scale LoC-MPS scheduler benchmarks (synthetic graphs, CCR=0.1, seed 7). Baseline is preserved across runs; delete this file to re-baseline, or re-measure single cases with -rebaseline (reference scheduler: memo and resume off). Each figure is the fastest of -reps repetitions.",
-			CPUs: runtime.NumCPU(), Current: map[string]Result{}},
+			Current: map[string]Result{}},
 		SpeedupX: map[string]Speedup{},
 	}
+	out.StampHost()
 	var prev File
 	if _, err := benchfile.Load(path, &prev); err != nil {
 		return err

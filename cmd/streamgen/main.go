@@ -214,9 +214,9 @@ func sameEnd(a, b *stream.Result) bool {
 func run(path string, reps int) error {
 	out := File{
 		Note:    "Open-loop streaming scheduler benchmarks (Poisson arrivals, synthetic DAG jobs, seed 7/11). Baseline is preserved across runs; delete this file to re-baseline. speedup_x is incremental (pinned worker, concatenated tables) vs scratch (reference configuration, rebuilt unions) at bit-identical end states; timed replays keep the best of -reps repetitions.",
-		CPUs:    runtime.NumCPU(),
 		Current: map[string]Result{},
 	}
+	out.StampHost()
 	var prev File
 	if _, err := benchfile.Load(path, &prev); err != nil {
 		return err

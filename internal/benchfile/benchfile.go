@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 )
 
@@ -24,10 +25,19 @@ import (
 // whatever the tool derives.
 type File[R any] struct {
 	Note string `json:"note"`
-	// CPUs is the logical core count of the host that recorded "current".
-	CPUs     int          `json:"cpus"`
-	Baseline map[string]R `json:"baseline"`
-	Current  map[string]R `json:"current"`
+	// CPUs is the logical core count of the host that recorded "current",
+	// and GOMAXPROCS the scheduler width that run used. Files written
+	// before the width was stamped load with GOMAXPROCS 0.
+	CPUs       int          `json:"cpus"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	Baseline   map[string]R `json:"baseline"`
+	Current    map[string]R `json:"current"`
+}
+
+// StampHost records the running host's CPU count and GOMAXPROCS.
+func (f *File[R]) StampHost() {
+	f.CPUs = runtime.NumCPU()
+	f.GOMAXPROCS = runtime.GOMAXPROCS(0)
 }
 
 // Load decodes the bench file at path into v. A missing file is not an

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -191,7 +192,8 @@ type toolFile struct {
 // baseline and note, backfill, save. It returns the stale cases.
 func rerun(t *testing.T, path, note string, current map[string]toolResult) []string {
 	t.Helper()
-	out := toolFile{File: File[toolResult]{Note: note, CPUs: 2, Current: current}, Extra: map[string]float64{"a": 1}}
+	out := toolFile{File: File[toolResult]{Note: note, Current: current}, Extra: map[string]float64{"a": 1}}
+	out.StampHost()
 	var prev toolFile
 	if _, err := Load(path, &prev); err != nil {
 		t.Fatal(err)
@@ -252,7 +254,7 @@ func TestRerunKeepsBaselineAndNote(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if want := []string{"note", "cpus", "baseline", "current", "extra"}; !reflect.DeepEqual(keys, want) {
+	if want := []string{"note", "cpus", "gomaxprocs", "baseline", "current", "extra"}; !reflect.DeepEqual(keys, want) {
 		t.Errorf("keys = %v, want %v", keys, want)
 	}
 	// A third run that reproduces B exactly: B's baseline was backfilled by
@@ -275,5 +277,28 @@ func TestLoadMissingAndMalformed(t *testing.T) {
 	}
 	if _, err := Load(bad, &f); err == nil || !strings.Contains(err.Error(), bad) {
 		t.Errorf("malformed file: err=%v, want an error naming the file", err)
+	}
+}
+
+// TestHostStamp: a fresh envelope records the host's CPU count and
+// GOMAXPROCS, and a file written before the gomaxprocs stamp existed still
+// loads, with the width reported as 0 (unknown).
+func TestHostStamp(t *testing.T) {
+	var f File[toolResult]
+	f.StampHost()
+	if f.CPUs != runtime.NumCPU() || f.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Errorf("stamp cpus=%d gomaxprocs=%d, want %d and %d", f.CPUs, f.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	old := filepath.Join(t.TempDir(), "old.json")
+	body := `{"note": "n", "cpus": 1, "baseline": {"A": {"ns_per_op": 1}}, "current": {"A": {"ns_per_op": 2}}}`
+	if err := os.WriteFile(old, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got toolFile
+	if found, err := Load(old, &got); !found || err != nil {
+		t.Fatalf("file without gomaxprocs: found=%v err=%v", found, err)
+	}
+	if got.CPUs != 1 || got.GOMAXPROCS != 0 || got.Current["A"].NsPerOp != 2 {
+		t.Errorf("loaded %+v, want cpus 1, gomaxprocs 0 and the current snapshot", got.File)
 	}
 }

@@ -9,6 +9,7 @@ package core_test
 // same public surface the schedulers' callers do.
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -87,5 +88,33 @@ func TestAuditTracksBlockSize(t *testing.T) {
 	// on block granularity).
 	if err := audit.Check(tg, s, audit.Options{RequireAccounting: true}).Err(); err == nil {
 		t.Error("audit with mismatched block size found nothing — accounting not actually recomputed?")
+	}
+}
+
+// TestMemoHitNeverBeatsBestOnStressCorpus runs every search configuration
+// over the differential stress harness's corpus and requires that no
+// search trips the memo-hit-beats-best invariant (a memoized vector keeps
+// no schedule, so the search would fail rather than return a wrong one).
+// Memo hits must actually occur, so the invariant is really exercised.
+func TestMemoHitNeverBeatsBestOnStressCorpus(t *testing.T) {
+	hits := 0
+	for i := 0; i < 500; i++ {
+		c := audit.CaseAt(1, i)
+		tg, cl, err := c.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range []*core.LoCMPS{core.New(), core.NewNoBackfill(), core.NewICASLB()} {
+			if _, err := alg.Schedule(tg, cl); err != nil {
+				if errors.Is(err, core.ErrMemoHitBeatsBest) {
+					t.Fatalf("case %d {%s}, %s: %v", i, c, alg.Name(), err)
+				}
+				t.Fatalf("case %d {%s}, %s: unexpected error %v", i, c, alg.Name(), err)
+			}
+			hits += alg.LastStats().CacheHits
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no memo hits over the corpus: the invariant was never checked")
 	}
 }

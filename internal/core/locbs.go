@@ -71,7 +71,7 @@ func LoCBS(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config) (*s
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return runPlacer(tg, cluster, np, cfg.withDefaults(), Preset{}, sc, 0)
+	return runPlacer(tg, cluster, np, cfg.withDefaults(), Preset{}, sc, 0, nil)
 }
 
 // runPlacer executes one pre-validated LoCBS run against pooled scratch:
@@ -88,7 +88,11 @@ func LoCBS(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config) (*s
 // see run), the chart is rolled back to the first divergent step, and only
 // the suffix is searched. Schedules are bit-identical to a from-scratch run
 // either way.
-func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config, preset Preset, sc *placerScratch, resumeKey uint64) (*schedule.Schedule, error) {
+//
+// out selects where the result lives. nil allocates a schedule the caller
+// owns. A scratch output (placerScratch.output) is reset and refilled, so
+// the result is valid only until that output is reused.
+func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config, preset Preset, sc *placerScratch, resumeKey uint64, out *runOutput) (*schedule.Schedule, error) {
 	tr := &sc.trace
 	record := resumeKey != 0 && !cfg.AdaptiveWidth
 	resume := record && tr.matches(resumeKey, tg, cluster, cfg)
@@ -97,7 +101,7 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 	// The trace is invalid while the run mutates the chart and the trace's
 	// own step records; a successful completion re-validates it below.
 	tr.key = 0
-	e := &placer{
+	e := placer{
 		tg:      tg,
 		tb:      tg.Tables(cluster.P),
 		cluster: cluster,
@@ -105,10 +109,18 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 		cfg:     cfg,
 		rm:      redistModel(cfg, cluster),
 		sc:      sc,
-		sched:   schedule.NewSchedule(engineName(cfg), cluster, tg),
 		factor:  preset.NodeFactor,
 		resume:  resume,
 		record:  record,
+	}
+	if out == nil {
+		e.sched = schedule.NewSchedule(engineName(cfg), cluster, tg)
+	} else {
+		if out.sched == nil {
+			out.sched = new(schedule.Schedule)
+		}
+		out.sched.Reset(engineName(cfg), cluster, tg)
+		e.sched = out.sched
 	}
 	if record {
 		// Shares cached by earlier runs of the same search stay warm; a
@@ -159,9 +171,16 @@ func runPlacer(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg Config,
 			total += np[t]
 		}
 	}
-	e.procStore = make([]int, 0, total)
+	if out == nil {
+		e.procStore = make([]int, 0, total)
+	} else {
+		e.procStore = growInts(out.procs, total)[:0]
+	}
 	if err := e.run(); err != nil {
 		return nil, err
+	}
+	if out != nil {
+		out.procs = e.procStore
 	}
 	if record {
 		tr.key = resumeKey
@@ -191,7 +210,8 @@ func engineName(cfg Config) string {
 }
 
 // placer holds the state of one LoCBS run. All slices except procStore and
-// the output schedule alias the pooled scratch.
+// the output schedule alias the pooled scratch (and those two do too when
+// the run writes into a scratch output).
 type placer struct {
 	tg      *model.TaskGraph
 	tb      *model.Tables
@@ -205,7 +225,7 @@ type placer struct {
 	// factor holds per-node speed multipliers (nil = homogeneous).
 	factor []float64
 	// procStore is the single backing array the committed processor sets
-	// are carved from; it outlives the run inside the returned schedule.
+	// are carved from; it lives as long as the output schedule.
 	procStore []int
 	// pref is the preference-ordered processor list of the task currently
 	// being placed (set by buildPreference; may alias the scratch cache).

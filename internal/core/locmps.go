@@ -2,14 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"locmps/internal/graph"
 	"locmps/internal/model"
 	"locmps/internal/schedule"
 )
@@ -21,6 +21,12 @@ import (
 // to resume from; a trace from any other search never matches. Key 0 is
 // reserved for non-incremental runs (standalone LoCBS, DisableResume).
 var searchEpoch atomic.Uint64
+
+// errMemoHitBeatsBest reports a broken search invariant: every memoized
+// vector was compared against a best score that only ever decreases, so a
+// memo hit can never beat the best. The search keeps no schedule for a
+// memoized vector, so rather than return a wrong one it fails.
+var errMemoHitBeatsBest = errors.New("core: internal error: a memoized allocation vector beats the committed best")
 
 // DefaultLookAheadDepth is the bounded look-ahead of §III.E ("a bound of 20
 // iterations was found to yield good results").
@@ -188,7 +194,7 @@ type search struct {
 	// memo caches every evaluated allocation vector (nil when disabled).
 	memo *allocMemo
 	// resumeKey is this search's epoch for incremental placement (0 when
-	// resume is disabled): every runLoCBS under the same key may resume
+	// resume is disabled): every fresh run under the same key may resume
 	// from the trace its scratch recorded for the previous run.
 	resumeKey uint64
 	// ctx aborts the search cooperatively (checked every round and
@@ -281,11 +287,15 @@ func (s *LoCMPS) runSearchOn(ctx context.Context, sc *placerScratch, tg *model.T
 			bestAlloc[t] = 1
 		}
 	}
-	bestSched, err := r.runLoCBS(bestAlloc)
+	first, firstSched, err := r.evaluate(bestAlloc)
 	if err != nil {
 		return nil, r.stats, false, err
 	}
-	bestSL := objective(bestSched)
+	// The start vector is the first one evaluated, so it ran fresh. Only
+	// runs that become the best are cloned out of the reused outputs.
+	bestSched := firstSched.Clone()
+	best := &sc.best
+	best.copyFrom(first)
 
 	maxOuter := s.MaxOuterIters
 	if maxOuter == 0 {
@@ -303,8 +313,8 @@ outerLoop:
 		// Steps 6-7: restart the look-ahead from the committed best.
 		np := sc.np
 		copy(np, bestAlloc)
-		cur := bestSched
-		oldSL := bestSL
+		cur := *best
+		oldSL := best.score
 
 		entryTask := -1
 		entryEdgeID := -1
@@ -320,11 +330,8 @@ outerLoop:
 				break outerLoop
 			}
 			r.stats.LookAheadSteps++
-			cp, err := r.criticalPath(cur, np)
-			if err != nil {
-				return nil, r.stats, false, err
-			}
-			tcomp, tcomm := r.pathCosts(cur, np, cp)
+			cp := cur.cp
+			tcomp, tcomm := r.pathCosts(cur, np)
 
 			kindTask := tcomp > tcomm
 			applied := false
@@ -338,7 +345,7 @@ outerLoop:
 						applied = true
 					}
 				} else if r.cfg.CommAware {
-					eg, id := r.heaviestEdge(cur, np, cp, iter == 0)
+					eg, id := r.heaviestEdge(cur, np, iter == 0)
 					if id >= 0 {
 						if iter == 0 {
 							entryEdgeID, entryTask = id, -1
@@ -353,18 +360,22 @@ outerLoop:
 				break // nothing on the critical path can be refined
 			}
 
-			cur, err = r.runLoCBS(np)
+			var sched *schedule.Schedule
+			cur, sched, err = r.evaluate(np)
 			if err != nil {
 				return nil, r.stats, false, err
 			}
-			if curSL := objective(cur); curSL.better(bestSL) {
-				bestSL = curSL
+			if cur.score.better(best.score) {
+				if sched == nil {
+					return nil, r.stats, false, errMemoHitBeatsBest
+				}
 				copy(bestAlloc, np)
-				bestSched = cur
+				bestSched = sched.Clone()
+				best.copyFrom(cur)
 			}
 		}
 
-		improved := bestSL.better(oldSL)
+		improved := best.score.better(oldSL)
 		switch {
 		case improved:
 			// Step 39: commit and clear all marks.
@@ -383,7 +394,7 @@ outerLoop:
 			outer = maxOuter
 		}
 
-		if r.terminated(bestSched, bestAlloc) {
+		if r.terminated(best, bestAlloc) {
 			break
 		}
 	}
@@ -413,86 +424,61 @@ func (r *search) checkpoint(outer int) (stop bool, err error) {
 	return false, nil
 }
 
-// runLoCBS resolves the schedule for an allocation vector: a memo hit when
+// evaluate resolves an allocation vector to its summary: a memo hit when
 // the vector was already evaluated this search (LoCBS is deterministic, so
-// the cached result is bit-identical to a fresh run), otherwise one
-// placement-engine invocation against the shared scratch. Inputs were
-// validated once up front, so the hot loop skips re-validation.
+// the cached summary is bit-identical to a fresh run's), otherwise one
+// placement-engine invocation into a reused scratch output followed by
+// the G' critical-path kernel. The schedule is returned only for a fresh
+// run (nil on a hit) and is valid until the next evaluate call. Inputs
+// were validated once up front, so the hot loop skips re-validation.
 //
 // Misses run incrementally: the scratch carries the trace of the previous
 // run it executed (memo hits leave it untouched), and consecutive search
 // vectors differ in one or two task widths, so most of the priority-order
 // placement prefix is replayed rather than re-searched. The replay is
 // bit-exact, so memoized and resumed results remain interchangeable.
-func (r *search) runLoCBS(np []int) (*schedule.Schedule, error) {
+func (r *search) evaluate(np []int) (evalSummary, *schedule.Schedule, error) {
+	var h uint64
 	if r.memo != nil {
-		if sched := r.memo.lookupSched(np); sched != nil {
+		var (
+			sum evalSummary
+			hit bool
+		)
+		if h, sum, hit = r.memo.lookup(np); hit {
 			r.stats.CacheHits++
-			return sched, nil
+			return sum, nil, nil
 		}
 		r.stats.CacheMisses++
 	}
 	r.stats.LoCBSRuns++
-	sched, err := runPlacer(r.tg, r.cluster, np, r.cfg, r.preset, r.sc, r.resumeKey)
-	if err == nil {
-		// Fold the run's resume accounting into the stats.
-		r.stats.ReplayedTasks += r.sc.lastReplayed
-		r.stats.RollbackDepth += r.sc.lastRolledBack
-		if r.sc.lastResumed {
-			r.stats.ResumedRuns++
-		}
-		if r.memo != nil {
-			r.memo.insert(np, sched)
-		}
+	sc := r.sc
+	sched, err := runPlacer(r.tg, r.cluster, np, r.cfg, r.preset, sc, r.resumeKey, sc.output())
+	if err != nil {
+		return evalSummary{}, nil, err
 	}
-	return sched, err
-}
-
-// criticalPath returns CP(G') for the current schedule, deriving G' into
-// the pooled overlay (no DAG clone) and reusing the path scratch. When the
-// engine is not CommAware the edge weights are treated as zero (iCASLB's
-// view of the world).
-//
-// Within one search the critical path is a pure function of (allocation
-// vector, schedule) and every caller passes the np that produced cur, so
-// the result is cached on the vector's memo entry; repeated rounds that
-// replay a known vector skip the G' rebuild entirely.
-func (r *search) criticalPath(cur *schedule.Schedule, np []int) ([]int, error) {
+	// Fold the run's resume accounting into the stats.
+	r.stats.ReplayedTasks += sc.lastReplayed
+	r.stats.RollbackDepth += sc.lastRolledBack
+	if sc.lastResumed {
+		r.stats.ResumedRuns++
+	}
+	if _, err := sc.gp.run(sched, r.tg, r.tb, np, r.cfg.CommAware); err != nil {
+		return evalSummary{}, nil, err
+	}
+	sum := evalSummary{score: objective(sched), cp: sc.gp.path, hopEdge: sc.gp.hopEdge, hopComm: sc.gp.hopComm}
 	if r.memo != nil {
-		if cp, ok := r.memo.lookupCP(np, cur); ok {
-			return cp, nil
-		}
+		r.memo.insert(h, np, sum)
 	}
-	g := r.sc.gp.Build(cur, r.tg)
-	vw := func(v int) float64 { return r.tb.ExecTime(v, np[v]) }
-	var ew graph.EdgeWeightFunc
-	if r.cfg.CommAware {
-		ew = func(u, v int) float64 {
-			if id, ok := r.tg.EdgeID(u, v); ok {
-				return cur.CommID(id)
-			}
-			return 0 // pseudo-edge
-		}
-	} else {
-		ew = func(u, v int) float64 { return 0 }
-	}
-	_, path, err := graph.CriticalPathScratch(g, vw, ew, &r.sc.ps)
-	if err == nil && r.memo != nil {
-		// storeCP copies: path aliases the scratch and the memo outlives it.
-		r.memo.storeCP(np, cur, path)
-	}
-	return path, err
+	return sum, sched, nil
 }
 
 // pathCosts splits the critical path into computation and communication
 // components (Algorithm 1 steps 12-13).
-func (r *search) pathCosts(cur *schedule.Schedule, np, cp []int) (tcomp, tcomm float64) {
-	for i, v := range cp {
+func (r *search) pathCosts(cur evalSummary, np []int) (tcomp, tcomm float64) {
+	for i, v := range cur.cp {
 		tcomp += r.tb.ExecTime(v, np[v])
-		if r.cfg.CommAware && i+1 < len(cp) {
-			if id, ok := r.tg.EdgeID(v, cp[i+1]); ok {
-				tcomm += cur.CommID(id)
-			}
+		if r.cfg.CommAware && i < len(cur.hopEdge) && cur.hopEdge[i] >= 0 {
+			tcomm += cur.hopComm[i]
 		}
 	}
 	return tcomp, tcomm
@@ -524,11 +510,14 @@ func (r *search) bestTask(np, cp []int, entry bool) int {
 	if len(cands) == 0 {
 		return -1
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].gain != cands[j].gain {
-			return cands[i].gain > cands[j].gain
+	slices.SortFunc(cands, func(a, b taskCand) int {
+		switch {
+		case a.gain > b.gain:
+			return -1
+		case a.gain < b.gain:
+			return 1
 		}
-		return cands[i].t < cands[j].t
+		return a.t - b.t
 	})
 	k := int(math.Ceil(r.alg.topFraction() * float64(len(cands))))
 	if k < 1 {
@@ -548,23 +537,22 @@ func (r *search) bestTask(np, cp []int, entry bool) int {
 // time) real edge along the critical path whose endpoints can still grow
 // within their per-task caps. It returns the edge and its dense id (-1 if
 // none qualifies).
-func (r *search) heaviestEdge(cur *schedule.Schedule, np, cp []int, entry bool) ([2]int, int) {
+func (r *search) heaviestEdge(cur evalSummary, np []int, entry bool) ([2]int, int) {
 	best := [2]int{-1, -1}
 	bestID := -1
 	bestW := 0.0
-	for i := 0; i+1 < len(cp); i++ {
-		u, v := cp[i], cp[i+1]
-		id, ok := r.tg.EdgeID(u, v)
-		if !ok {
+	for i, id := range cur.hopEdge {
+		if id < 0 {
 			continue // pseudo-edge
 		}
+		u, v := cur.cp[i], cur.cp[i+1]
 		if np[u] >= r.caps[u] && np[v] >= r.caps[v] {
 			continue
 		}
 		if entry && r.sc.markedEdge[id] {
 			continue
 		}
-		if w := cur.CommID(id); w > bestW {
+		if w := cur.hopComm[i]; w > bestW {
 			bestW = w
 			best, bestID = [2]int{u, v}, id
 		}
@@ -598,9 +586,9 @@ func widenEdge(np []int, e [2]int, caps []int) {
 // terminated evaluates the repeat-until condition: every task and edge on
 // the committed schedule's critical path is marked (or saturated), or every
 // critical-path task is at the full machine width.
-func (r *search) terminated(best *schedule.Schedule, np []int) bool {
-	cp, err := r.criticalPath(best, np)
-	if err != nil || len(cp) == 0 {
+func (r *search) terminated(best *evalSummary, np []int) bool {
+	cp := best.cp
+	if len(cp) == 0 {
 		return true
 	}
 	maxP := r.cluster.P
@@ -619,12 +607,11 @@ func (r *search) terminated(best *schedule.Schedule, np []int) bool {
 		}
 	}
 	if r.cfg.CommAware {
-		for i := 0; i+1 < len(cp); i++ {
-			u, v := cp[i], cp[i+1]
-			id, ok := r.tg.EdgeID(u, v)
-			if !ok || best.CommID(id) == 0 {
+		for i, id := range best.hopEdge {
+			if id < 0 || best.hopComm[i] == 0 {
 				continue
 			}
+			u, v := cp[i], cp[i+1]
 			if (np[u] < maxP || np[v] < maxP) && !r.sc.markedEdge[id] {
 				allBlocked = false
 			}

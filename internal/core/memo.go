@@ -1,19 +1,20 @@
 package core
 
-import "locmps/internal/schedule"
-
 // memoEntryLimit bounds the number of cached allocation vectors per search
-// so a pathological run cannot hold an unbounded number of schedules live.
-// A mid-scale search evaluates a few thousand distinct vectors, far below
-// the cap; once full, lookups keep working but new results are not
-// retained.
+// so a pathological run cannot grow the table without bound. A mid-scale
+// search evaluates a few thousand distinct vectors, far below the cap;
+// once full, lookups keep working but new results are not retained.
 const memoEntryLimit = 1 << 16
 
-// fnv1aVector fingerprints a processor-count vector with FNV-1a over the
-// little-endian bytes of each count. Vector length and element order are
-// part of the digest, so only genuinely equal vectors (same tasks, same
-// widths) collide by construction — anything else is a hash accident the
-// bucket's full compare catches.
+// memoArenaChunk is the element count of one memo storage chunk: entries
+// carve their slices out of shared chunks instead of allocating each one.
+const memoArenaChunk = 4096
+
+// fnv1aVector fingerprints a processor-count vector with FNV-1a, one word
+// per count. Vector length and element order are part of the digest, so
+// only genuinely equal vectors (same tasks, same widths) collide by
+// construction — anything else is a hash accident the chain's full
+// compare catches.
 func fnv1aVector(np []int) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -21,93 +22,126 @@ func fnv1aVector(np []int) uint64 {
 	)
 	h := uint64(offset64)
 	for _, v := range np {
-		x := uint64(v)
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime64
-			x >>= 8
-		}
+		h ^= uint64(v)
+		h *= prime64
 	}
 	return h
 }
 
-// memoEntry is one evaluated allocation vector: the (deterministic) LoCBS
-// result and the lazily derived critical path of that schedule.
+// evalSummary is everything the search keeps of one evaluated allocation
+// vector: its objective and CP(G') of its LoCBS schedule, with each hop's
+// edge id and charge. The schedule itself is not kept — the look-ahead
+// reads only these — so a memo entry costs a few dozen words.
+type evalSummary struct {
+	score score
+	// cp is the critical path; hopEdge[i] is the dense id of the edge
+	// cp[i] -> cp[i+1] (-1 for a pseudo-edge) and hopComm[i] the charge
+	// the schedule recorded on it (0 for a pseudo-edge).
+	cp      []int
+	hopEdge []int
+	hopComm []float64
+}
+
+// copyFrom makes s an owned copy of o, reusing s's slices.
+func (s *evalSummary) copyFrom(o evalSummary) {
+	s.score = o.score
+	s.cp = append(s.cp[:0], o.cp...)
+	s.hopEdge = append(s.hopEdge[:0], o.hopEdge...)
+	s.hopComm = append(s.hopComm[:0], o.hopComm...)
+}
+
+// memoEntry is one evaluated allocation vector. next chains entries that
+// share a fingerprint (-1 ends the chain).
 type memoEntry struct {
-	np    []int
-	sched *schedule.Schedule
-	// cp caches CP(G') of sched under np. The schedule and the critical
-	// path are pure functions of the vector within one search, so both
-	// belong to the entry.
-	cp []int
+	np   []int
+	sum  evalSummary
+	next int32
 }
 
 // allocMemo is the per-search allocation-vector memo table (§III.C/§III.E):
-// it maps already-evaluated allocation vectors to their LoCBS schedule so
-// neither the bounded look-ahead nor the repeat-until outer loop ever pays
-// for the same vector twice. LoCBS is deterministic, so a hit is
-// bit-identical to a fresh run by construction.
+// it maps already-evaluated allocation vectors to their summary so neither
+// the bounded look-ahead nor the repeat-until outer loop ever pays for the
+// same vector twice. LoCBS is deterministic, so a hit is bit-identical to
+// a fresh run by construction.
 //
 // The table is keyed by a FNV-1a fingerprint of the processor-count vector;
-// buckets chain entries and every probe does a full vector compare, so a
-// fingerprint collision costs a comparison, never a wrong schedule. A memo
-// belongs to one search and is used by its goroutine only.
+// entries sharing a fingerprint are chained and every probe does a full
+// vector compare, so a collision costs a comparison, never a wrong result.
+// Entries are immutable once inserted. A memo belongs to one search and is
+// used by its goroutine only.
 type allocMemo struct {
-	buckets map[uint64][]*memoEntry
-	entries int
+	heads   map[uint64]int32 // fingerprint -> first entry of its chain
+	entries []memoEntry
+	ints    []int     // storage chunk for np, cp and hopEdge
+	floats  []float64 // storage chunk for hopComm
 	// hash is fnv1aVector except in tests, which inject constant hashes to
 	// force the collision path.
 	hash func([]int) uint64
 }
 
 func newAllocMemo() *allocMemo {
-	return &allocMemo{buckets: make(map[uint64][]*memoEntry), hash: fnv1aVector}
+	return &allocMemo{heads: make(map[uint64]int32), hash: fnv1aVector}
 }
 
-// find returns the entry for np, or nil.
-func (m *allocMemo) find(np []int) *memoEntry {
-	for _, e := range m.buckets[m.hash(np)] {
-		if intsEqual(e.np, np) {
-			return e
+// lookup returns np's fingerprint (for a following insert) and its
+// summary, if the vector was evaluated before.
+func (m *allocMemo) lookup(np []int) (uint64, evalSummary, bool) {
+	h := m.hash(np)
+	i, ok := m.heads[h]
+	for ok && i >= 0 {
+		if e := &m.entries[i]; intsEqual(e.np, np) {
+			return h, e.sum, true
 		}
+		i = m.entries[i].next
 	}
-	return nil
+	return h, evalSummary{}, false
 }
 
-// lookupSched returns the cached schedule for np, or nil.
-func (m *allocMemo) lookupSched(np []int) *schedule.Schedule {
-	if e := m.find(np); e != nil {
-		return e.sched
-	}
-	return nil
-}
-
-// insert caches the schedule for np (copying the vector — callers reuse
-// their buffers). An existing entry wins: LoCBS is deterministic, so a
-// duplicate insert carries a bit-identical schedule.
-func (m *allocMemo) insert(np []int, s *schedule.Schedule) {
-	if m.find(np) != nil || m.entries >= memoEntryLimit {
+// insert caches a copy of sum for np under fingerprint h (the one lookup
+// returned; np and sum alias caller scratch). An existing entry wins:
+// LoCBS is deterministic, so a duplicate insert carries identical values.
+func (m *allocMemo) insert(h uint64, np []int, sum evalSummary) {
+	if len(m.entries) >= memoEntryLimit {
 		return
 	}
-	h := m.hash(np)
-	m.buckets[h] = append(m.buckets[h], &memoEntry{np: append([]int(nil), np...), sched: s})
-	m.entries++
+	head, ok := m.heads[h]
+	for i := head; ok && i >= 0; i = m.entries[i].next {
+		if intsEqual(m.entries[i].np, np) {
+			return
+		}
+	}
+	if !ok {
+		head = -1
+	}
+	ints := m.carveInts(len(np) + len(sum.cp) + len(sum.hopEdge))
+	e := memoEntry{next: head, sum: evalSummary{score: sum.score}}
+	e.np = ints[:copy(ints, np):len(np)]
+	ints = ints[len(np):]
+	e.sum.cp = ints[:copy(ints, sum.cp):len(sum.cp)]
+	ints = ints[len(sum.cp):]
+	e.sum.hopEdge = ints[:copy(ints, sum.hopEdge):len(sum.hopEdge)]
+	fl := m.carveFloats(len(sum.hopComm))
+	e.sum.hopComm = fl[:copy(fl, sum.hopComm):len(sum.hopComm)]
+	m.heads[h] = int32(len(m.entries))
+	m.entries = append(m.entries, e)
 }
 
-// lookupCP returns the cached critical path for np, provided the entry's
-// schedule is the one the caller derived it from (the pointer check keeps a
-// stale pairing impossible).
-func (m *allocMemo) lookupCP(np []int, sched *schedule.Schedule) ([]int, bool) {
-	if e := m.find(np); e != nil && e.sched == sched && e.cp != nil {
-		return e.cp, true
+// carveInts returns k fresh ints from the current storage chunk.
+func (m *allocMemo) carveInts(k int) []int {
+	if cap(m.ints)-len(m.ints) < k {
+		m.ints = make([]int, 0, max(k, memoArenaChunk))
 	}
-	return nil, false
+	n := len(m.ints)
+	m.ints = m.ints[:n+k]
+	return m.ints[n : n+k : n+k]
 }
 
-// storeCP records the critical path for np if the vector is cached with the
-// given schedule. The path is copied: callers hand in scratch-backed slices.
-func (m *allocMemo) storeCP(np []int, sched *schedule.Schedule, cp []int) {
-	if e := m.find(np); e != nil && e.sched == sched && e.cp == nil {
-		e.cp = append([]int(nil), cp...)
+// carveFloats returns k fresh float64s from the current storage chunk.
+func (m *allocMemo) carveFloats(k int) []float64 {
+	if cap(m.floats)-len(m.floats) < k {
+		m.floats = make([]float64, 0, max(k, memoArenaChunk))
 	}
+	n := len(m.floats)
+	m.floats = m.floats[:n+k]
+	return m.floats[n : n+k : n+k]
 }

@@ -9,6 +9,7 @@ import (
 	"locmps/internal/model"
 	"locmps/internal/schedule"
 	"locmps/internal/speedup"
+	"locmps/internal/synth"
 )
 
 // memoGraph builds a small diamond DAG with enough malleable width to make
@@ -49,43 +50,69 @@ func memoCluster() model.Cluster {
 	return model.Cluster{P: 8, Bandwidth: 12.5e6, Overlap: true}
 }
 
+// memoSum is a one-hop summary whose fields all derive from ms, so a test
+// can tell which insert a lookup returned.
+func memoSum(ms float64) evalSummary {
+	return evalSummary{
+		score:   score{makespan: ms},
+		cp:      []int{0, 1},
+		hopEdge: []int{int(ms)},
+		hopComm: []float64{ms},
+	}
+}
+
+// lookupMakespan returns the makespan memoized for np, or -1 on a miss.
+func lookupMakespan(m *allocMemo, np []int) float64 {
+	if _, sum, ok := m.lookup(np); ok {
+		return sum.score.makespan
+	}
+	return -1
+}
+
 // TestAllocMemoCollisionPath forces every vector onto one fingerprint and
 // checks that the full-vector compare still resolves lookups correctly.
 func TestAllocMemoCollisionPath(t *testing.T) {
 	m := newAllocMemo()
 	m.hash = func([]int) uint64 { return 42 } // all vectors collide
 
-	s1, s2 := &schedule.Schedule{Makespan: 1}, &schedule.Schedule{Makespan: 2}
 	v1, v2 := []int{1, 2, 3}, []int{3, 2, 1}
-	m.insert(v1, s1)
-	m.insert(v2, s2)
-	if len(m.buckets) != 1 || len(m.buckets[42]) != 2 {
-		t.Fatalf("expected one bucket with two chained entries, got %d buckets", len(m.buckets))
+	h, _, _ := m.lookup(v1)
+	m.insert(h, v1, memoSum(1))
+	h, _, _ = m.lookup(v2)
+	m.insert(h, v2, memoSum(2))
+	if len(m.heads) != 1 || len(m.entries) != 2 || m.entries[m.heads[42]].next < 0 {
+		t.Fatalf("expected one chain with two entries, got %d heads and %d entries", len(m.heads), len(m.entries))
 	}
-	if got := m.lookupSched(v1); got != s1 {
-		t.Errorf("lookup(v1) = %v, want s1", got)
+	if got := lookupMakespan(m, v1); got != 1 {
+		t.Errorf("lookup(v1) = %v, want 1", got)
 	}
-	if got := m.lookupSched(v2); got != s2 {
-		t.Errorf("lookup(v2) = %v, want s2", got)
+	if got := lookupMakespan(m, v2); got != 2 {
+		t.Errorf("lookup(v2) = %v, want 2", got)
 	}
-	if got := m.lookupSched([]int{1, 2, 4}); got != nil {
+	if got := lookupMakespan(m, []int{1, 2, 4}); got != -1 {
 		t.Errorf("lookup of unseen vector returned %v under forced collisions", got)
 	}
 }
 
-// TestAllocMemoInsertIsStable checks that a duplicate insert keeps the first
-// schedule and that the vector is copied, not aliased.
+// TestAllocMemoInsertIsStable checks that a duplicate insert keeps the
+// first summary and that the vector and summary are copied, not aliased.
 func TestAllocMemoInsertIsStable(t *testing.T) {
 	m := newAllocMemo()
-	s1, s2 := &schedule.Schedule{Makespan: 1}, &schedule.Schedule{Makespan: 2}
 	vec := []int{2, 2}
-	m.insert(vec, s1)
-	m.insert(vec, s2)
-	vec[0] = 9 // caller reuses its buffer
-	if got := m.lookupSched([]int{2, 2}); got != s1 {
-		t.Errorf("duplicate insert replaced the original entry (got %v)", got)
+	h, _, _ := m.lookup(vec)
+	first := memoSum(1)
+	m.insert(h, vec, first)
+	m.insert(h, vec, memoSum(2))
+	vec[0] = 9 // caller reuses its buffers
+	first.cp[0], first.hopEdge[0], first.hopComm[0] = 7, 7, 7
+	_, got, ok := m.lookup([]int{2, 2})
+	if !ok || got.score.makespan != 1 {
+		t.Fatalf("duplicate insert replaced the original entry (got %+v, hit %v)", got, ok)
 	}
-	if got := m.lookupSched([]int{9, 2}); got != nil {
+	if !reflect.DeepEqual(got, memoSum(1)) {
+		t.Errorf("memo aliased the caller's summary: %+v", got)
+	}
+	if got := lookupMakespan(m, []int{9, 2}); got != -1 {
 		t.Errorf("memo aliased the caller's buffer: lookup of mutated vector hit %v", got)
 	}
 }
@@ -198,5 +225,43 @@ func assertSameSchedule(t *testing.T, a, b *schedule.Schedule, label string) {
 			t.Fatalf("%s: task %d placement diverged: %v@[%v,%v] vs %v@[%v,%v]",
 				label, ti, pa.Procs, pa.Start, pa.Finish, pb.Procs, pb.Start, pb.Finish)
 		}
+	}
+}
+
+// TestSearchAllocationBudget bounds the allocations of one LoC-MPS search
+// relative to its LoCBS runs on a fixed 30-task, P=16 instance. A search
+// keeps summaries, not schedules: runs write into two reused outputs and
+// only a run that beats the best is cloned, so a search allocates well
+// under one object per run (about 0.35 when this bound was set; keeping
+// every run's schedule costs over 30). The bound is about twice the
+// measured figure, so it fails if per-run schedule allocation comes back.
+// The Worker pins its scratch so a garbage collection emptying the
+// scratch pool cannot charge a cold cost cache to the search.
+func TestSearchAllocationBudget(t *testing.T) {
+	p := synth.DefaultParams()
+	p.Tasks = 30
+	p.CCR = 0.1
+	p.Seed = 7
+	tg, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := model.Cluster{P: 16, Bandwidth: p.Bandwidth, Overlap: true}
+	w := NewWorker()
+	defer w.Close()
+	alg := New()
+	search := func() {
+		if _, err := w.Schedule(alg, tg, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search() // warm the worker's scratch and the graph's tables
+	allocs := testing.AllocsPerRun(5, search)
+	runs := alg.LastStats().LoCBSRuns
+	perRun := allocs / float64(runs)
+	t.Logf("%.0f allocations per search, %d LoCBS runs: %.3f per run", allocs, runs, perRun)
+	const budget = 0.75
+	if perRun > budget {
+		t.Errorf("%.3f allocations per LoCBS run, budget %.2f: is every run allocating its schedule again?", perRun, budget)
 	}
 }

@@ -80,5 +80,5 @@ func LoCBSWithPreset(tg *model.TaskGraph, cluster model.Cluster, np []int, cfg C
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return runPlacer(tg, cluster, np, cfg.withDefaults(), preset, sc, 0)
+	return runPlacer(tg, cluster, np, cfg.withDefaults(), preset, sc, 0, nil)
 }

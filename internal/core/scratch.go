@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"locmps/internal/graph"
 	"locmps/internal/model"
 	"locmps/internal/redist"
 	"locmps/internal/schedule"
@@ -12,10 +11,11 @@ import (
 
 // placerScratch bundles every reusable buffer of the scheduling hot path:
 // the resource chart and per-task/per-processor slices of a LoCBS run, plus
-// the search-level scratch of the LoC-MPS outer loop (the G' builder, the
-// critical-path buffers and the mark bitsets). One LoC-MPS search invokes
-// LoCBS thousands of times against the same scratch, so after warm-up a
-// placement run allocates only its output schedule. Scratches are recycled
+// the search-level scratch of the LoC-MPS outer loop (the two reused run
+// outputs, the G' critical-path kernel, the committed best's summary and
+// the mark bitsets). One LoC-MPS search invokes LoCBS thousands of times
+// against the same scratch, so after warm-up a placement run allocates
+// nothing; only a run that beats the best is cloned. Scratches are recycled
 // through a sync.Pool so concurrent searches (ScheduleDual, experiment
 // worker pools) each grab their own; a scratch must never be shared between
 // goroutines.
@@ -79,11 +79,14 @@ type placerScratch struct {
 	lastRolledBack int
 	lastResumed    bool
 
-	// LoC-MPS search scratch.
-	gp         *schedule.DAGBuilder
-	ps         graph.PathScratch
-	markedTask []bool // by task id
-	markedEdge []bool // by dense edge id
+	// LoC-MPS search scratch. outs are the two reused LoCBS outputs: a run
+	// writes into whichever one the resume trace does not hold, because a
+	// resumed run copies its prefix out of the traced schedule.
+	outs       [2]runOutput
+	gp         gPrime
+	best       evalSummary // the committed best's summary (owned copy)
+	markedTask []bool      // by task id
+	markedEdge []bool      // by dense edge id
 	np         []int
 	bestAlloc  []int
 	cands      []taskCand
@@ -143,8 +146,24 @@ func (tr *placementTrace) restart(mark int) {
 	tr.undoMark = append(tr.undoMark[:0], int32(mark))
 }
 
+// runOutput is one reusable LoCBS output: the schedule and the backing
+// array its processor sets are carved from.
+type runOutput struct {
+	sched *schedule.Schedule
+	procs []int
+}
+
+// output returns the reusable output the next search run writes into: the
+// one the resume trace does not hold.
+func (sc *placerScratch) output() *runOutput {
+	if sc.outs[0].sched != sc.trace.sched {
+		return &sc.outs[0]
+	}
+	return &sc.outs[1]
+}
+
 var scratchPool = sync.Pool{
-	New: func() any { return &placerScratch{gp: schedule.NewDAGBuilder()} },
+	New: func() any { return &placerScratch{} },
 }
 
 func getScratch() *placerScratch { return scratchPool.Get().(*placerScratch) }
@@ -192,6 +211,20 @@ func (sc *placerScratch) prepareSearch(n, m int) {
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+func growInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+func growUint64s(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
 	}
 	return s[:n]
 }

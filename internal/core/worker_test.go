@@ -1,8 +1,10 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"locmps/internal/model"
 	"locmps/internal/schedule"
 	"locmps/internal/synth"
 )
@@ -80,5 +82,46 @@ func TestWorkerScheduleWithPresetBitIdentical(t *testing.T) {
 		if g.Start != pl.Start || g.Finish != pl.Finish {
 			t.Errorf("fixed task %d moved: (%v,%v) vs (%v,%v)", id, g.Start, g.Finish, pl.Start, pl.Finish)
 		}
+	}
+}
+
+// TestWorkerResultsSurviveLaterRuns guards the reused search outputs: a
+// schedule one Worker returned must not change when the same Worker runs
+// another search and then a preset search. The serving layer's result
+// cache and the streaming rescheduler both hold returned schedules across
+// later runs on the same worker.
+func TestWorkerResultsSurviveLaterRuns(t *testing.T) {
+	graph := func(seed int64) *model.TaskGraph {
+		p := synth.DefaultParams()
+		p.Tasks = 16
+		p.Seed = seed
+		p.CCR = 0.5
+		tg, err := synth.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tg
+	}
+	tgA, tgB := graph(3), graph(4)
+	w := NewWorker()
+	defer w.Close()
+
+	a, err := w.Schedule(New(), tgA, presetCluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := a.Clone()
+	if _, err := w.Schedule(New(), tgB, presetCluster); err != nil {
+		t.Fatal(err)
+	}
+	busy := make([]float64, presetCluster.P)
+	for i := range busy {
+		busy[i] = float64(i)
+	}
+	if _, err := w.ScheduleWithPreset(New(), tgA, presetCluster, Preset{BusyUntil: busy}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, snapshot) {
+		t.Fatal("a returned schedule changed when its worker ran later searches")
 	}
 }

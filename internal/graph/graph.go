@@ -135,7 +135,31 @@ func (d *DAG) TopoOrder() ([]int, error) {
 	// Min-ordered frontier for determinism. A simple sorted slice is fine
 	// at the graph sizes mixed-parallel applications exhibit (tens of
 	// vertices); correctness does not depend on the ordering.
-	return topoOrderInto(d, nil, nil, make([]int, 0, d.n))
+	indeg := make([]int, d.n)
+	var frontier []int
+	order := make([]int, 0, d.n)
+	for v := 0; v < d.n; v++ {
+		indeg[v] = len(d.pred[v])
+		if indeg[v] == 0 {
+			frontier = append(frontier, v)
+		}
+	}
+	for len(frontier) > 0 {
+		sort.Ints(frontier)
+		v := frontier[0]
+		frontier = frontier[1:]
+		order = append(order, v)
+		for _, w := range d.succ[v] {
+			indeg[w]--
+			if indeg[w] == 0 {
+				frontier = append(frontier, w)
+			}
+		}
+	}
+	if len(order) != d.n {
+		return nil, ErrCycle
+	}
+	return order, nil
 }
 
 // Validate returns an error if the graph is not acyclic.

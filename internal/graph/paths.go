@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // WeightFunc supplies a vertex weight (e.g. execution time of the task on
 // its allocated processors).
@@ -28,34 +25,14 @@ type Levels struct {
 // ComputeLevels computes top and bottom levels in a single forward and a
 // single backward sweep over a topological order. It returns ErrCycle for
 // cyclic graphs.
-func ComputeLevels(d Digraph, vw WeightFunc, ew EdgeWeightFunc) (Levels, error) {
-	order, err := topoOrderInto(d, nil, nil, nil)
+func ComputeLevels(d *DAG, vw WeightFunc, ew EdgeWeightFunc) (Levels, error) {
+	order, err := d.TopoOrder()
 	if err != nil {
 		return Levels{}, err
 	}
-	return levelsOver(d, order, vw, ew, nil, nil), nil
-}
-
-// ComputeLevelsOrder is ComputeLevels over a pre-computed topological order
-// (e.g. the one cached on a task graph), writing into the caller's Levels
-// buffers when they are large enough. The order must be a valid topological
-// order of d covering all vertices.
-func ComputeLevelsOrder(d Digraph, order []int, vw WeightFunc, ew EdgeWeightFunc, buf *Levels) Levels {
-	return levelsOver(d, order, vw, ew, buf.Top, buf.Bottom)
-}
-
-func levelsOver(d Digraph, order []int, vw WeightFunc, ew EdgeWeightFunc, top, bottom []float64) Levels {
 	n := d.N()
-	if cap(top) < n {
-		top = make([]float64, n)
-	} else {
-		top = top[:n]
-	}
-	if cap(bottom) < n {
-		bottom = make([]float64, n)
-	} else {
-		bottom = bottom[:n]
-	}
+	top := make([]float64, n)
+	bottom := make([]float64, n)
 	for _, v := range order {
 		best := 0.0
 		for _, u := range d.Pred(v) {
@@ -77,71 +54,7 @@ func levelsOver(d Digraph, order []int, vw WeightFunc, ew EdgeWeightFunc, top, b
 		}
 		bottom[v] = vw(v) + best
 	}
-	return Levels{Top: top, Bottom: bottom}
-}
-
-// PathScratch holds the reusable buffers of repeated level and critical-path
-// computations: topological-order state, levels and the reconstructed path.
-// The zero value is ready to use; a scratch must not be shared between
-// goroutines.
-type PathScratch struct {
-	indeg    []int
-	frontier []int
-	order    []int
-	lv       Levels
-	path     []int
-}
-
-// topoOrderInto is Kahn's algorithm over a sorted frontier (identical
-// ordering to DAG.TopoOrder) appending into the caller's buffers.
-func topoOrderInto(d Digraph, indeg, frontier, order []int) ([]int, error) {
-	n := d.N()
-	if cap(indeg) < n {
-		indeg = make([]int, n)
-	} else {
-		indeg = indeg[:n]
-	}
-	frontier = frontier[:0]
-	order = order[:0]
-	for v := 0; v < n; v++ {
-		indeg[v] = len(d.Pred(v))
-		if indeg[v] == 0 {
-			frontier = append(frontier, v)
-		}
-	}
-	for len(frontier) > 0 {
-		sort.Ints(frontier)
-		v := frontier[0]
-		frontier = frontier[1:]
-		order = append(order, v)
-		for _, w := range d.Succ(v) {
-			indeg[w]--
-			if indeg[w] == 0 {
-				frontier = append(frontier, w)
-			}
-		}
-	}
-	if len(order) != n {
-		return nil, ErrCycle
-	}
-	return order, nil
-}
-
-// CriticalPathScratch is CriticalPath reusing the caller's scratch buffers.
-// The returned path aliases the scratch and is valid until the next call.
-func CriticalPathScratch(d Digraph, vw WeightFunc, ew EdgeWeightFunc, s *PathScratch) (float64, []int, error) {
-	if d.N() == 0 {
-		return 0, nil, nil
-	}
-	order, err := topoOrderInto(d, s.indeg, s.frontier[:0], s.order[:0])
-	if err != nil {
-		return 0, nil, err
-	}
-	s.order = order
-	s.lv = levelsOver(d, order, vw, ew, s.lv.Top, s.lv.Bottom)
-	length, path := reconstructPath(d, s.lv, vw, ew, s.path[:0])
-	s.path = path
-	return length, path, nil
+	return Levels{Top: top, Bottom: bottom}, nil
 }
 
 // CriticalPath returns the longest weighted path in the DAG: its length and
@@ -149,7 +62,7 @@ func CriticalPathScratch(d Digraph, vw WeightFunc, ew EdgeWeightFunc, s *PathScr
 // topL(v)+bottomL(v) lies on a critical path; the path is reconstructed by
 // walking from such a source-side start greedily through successors that
 // preserve the bottom level. For an empty graph it returns (0, nil).
-func CriticalPath(d Digraph, vw WeightFunc, ew EdgeWeightFunc) (float64, []int, error) {
+func CriticalPath(d *DAG, vw WeightFunc, ew EdgeWeightFunc) (float64, []int, error) {
 	if d.N() == 0 {
 		return 0, nil, nil
 	}
@@ -157,14 +70,14 @@ func CriticalPath(d Digraph, vw WeightFunc, ew EdgeWeightFunc) (float64, []int, 
 	if err != nil {
 		return 0, nil, err
 	}
-	length, path := reconstructPath(d, lv, vw, ew, nil)
+	length, path := reconstructPath(d, lv, vw, ew)
 	return length, path, nil
 }
 
 // reconstructPath finds the critical-path length and walks one critical path
-// from a source, appending into the caller's buffer. The path starts at a
-// source vertex whose bottom level equals the overall critical-path length.
-func reconstructPath(d Digraph, lv Levels, vw WeightFunc, ew EdgeWeightFunc, path []int) (float64, []int) {
+// from a source. The path starts at a source vertex whose bottom level
+// equals the overall critical-path length.
+func reconstructPath(d *DAG, lv Levels, vw WeightFunc, ew EdgeWeightFunc) (float64, []int) {
 	n := d.N()
 	length := 0.0
 	for v := 0; v < n; v++ {
@@ -174,7 +87,7 @@ func reconstructPath(d Digraph, lv Levels, vw WeightFunc, ew EdgeWeightFunc, pat
 	}
 	start := -1
 	for s := 0; s < n; s++ {
-		if len(d.Pred(s)) == 0 && approxEq(lv.Bottom[s], length) {
+		if len(d.Pred(s)) == 0 && ApproxEq(lv.Bottom[s], length) {
 			start = s
 			break
 		}
@@ -191,12 +104,12 @@ func reconstructPath(d Digraph, lv Levels, vw WeightFunc, ew EdgeWeightFunc, pat
 			}
 		}
 	}
-	path = append(path, start)
+	path := []int{start}
 	v := start
 	for {
 		next := -1
 		for _, w := range d.Succ(v) {
-			if approxEq(lv.Bottom[v], vw(v)+ew(v, w)+lv.Bottom[w]) {
+			if ApproxEq(lv.Bottom[v], vw(v)+ew(v, w)+lv.Bottom[w]) {
 				next = w
 				break
 			}
@@ -223,9 +136,10 @@ func PathCosts(path []int, vw WeightFunc, ew EdgeWeightFunc) (comp, comm float64
 	return comp, comm
 }
 
-// approxEq compares floats with a relative-and-absolute tolerance suited to
-// schedule arithmetic (sums of task durations).
-func approxEq(a, b float64) bool {
+// ApproxEq compares floats with a relative-and-absolute tolerance suited to
+// schedule arithmetic (sums of task durations). It is the critical-path
+// walk's tolerance, shared with the search's flat G' kernel.
+func ApproxEq(a, b float64) bool {
 	diff := math.Abs(a - b)
 	if diff <= 1e-9 {
 		return true

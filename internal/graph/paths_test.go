@@ -120,7 +120,7 @@ func TestCriticalPathDominatesRandomWalks(t *testing.T) {
 			return false
 		}
 		comp, comm := PathCosts(path, vw, ew)
-		if !approxEq(comp+comm, length) {
+		if !ApproxEq(comp+comm, length) {
 			return false
 		}
 		// Random walks from random sources never exceed the CP length.
@@ -166,7 +166,7 @@ func TestLevelsBoundedByCriticalPath(t *testing.T) {
 			if s > length+1e-9 {
 				return false
 			}
-			if approxEq(s, length) {
+			if ApproxEq(s, length) {
 				hit = true
 			}
 		}

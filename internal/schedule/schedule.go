@@ -71,6 +71,28 @@ func NewSchedule(algorithm string, c model.Cluster, tg *model.TaskGraph) *Schedu
 	}
 }
 
+// Reset turns s into an empty schedule for the graph's tasks, as
+// NewSchedule would, but reuses its placement and charge slices. The
+// processor sets of the old placements are dropped, not reused: their
+// backing arrays belong to whoever carved them.
+func (s *Schedule) Reset(algorithm string, c model.Cluster, tg *model.TaskGraph) {
+	pls := s.Placements
+	if cap(pls) < tg.N() {
+		pls = make([]Placement, tg.N())
+	} else {
+		pls = pls[:tg.N()]
+		clear(pls)
+	}
+	comm := s.comm
+	if cap(comm) < tg.M() {
+		comm = make([]float64, tg.M())
+	} else {
+		comm = comm[:tg.M()]
+		clear(comm)
+	}
+	*s = Schedule{Algorithm: algorithm, Cluster: c, Placements: pls, comm: comm, tg: tg}
+}
+
 // CommOn returns the communication time charged on edge u->v (0 when the
 // edge is absent).
 func (s *Schedule) CommOn(u, v int) float64 {
@@ -103,8 +125,21 @@ func (s *Schedule) SetCommID(id int, w float64) { s.comm[id] = w }
 func (s *Schedule) Clone() *Schedule {
 	c := *s
 	c.Placements = make([]Placement, len(s.Placements))
+	total := 0
+	for _, pl := range s.Placements {
+		total += len(pl.Procs)
+	}
+	// One backing array holds every copied processor set; each set is
+	// capped so an append to one can never overwrite the next.
+	store := make([]int, 0, total)
 	for i, pl := range s.Placements {
-		pl.Procs = append([]int(nil), pl.Procs...)
+		if len(pl.Procs) == 0 {
+			pl.Procs = nil
+		} else {
+			start := len(store)
+			store = append(store, pl.Procs...)
+			pl.Procs = store[start:len(store):len(store)]
+		}
 		c.Placements[i] = pl
 	}
 	c.comm = append([]float64(nil), s.comm...)
