@@ -141,11 +141,13 @@ stress:
 	$(GO) run ./cmd/stress -n $(N) -seed $(SEED)
 
 # Short fuzz passes over each fuzz target: the graph/format parsers, the
-# wire decoder of POST /v1/schedule and the audit oracle. ~35s total.
+# wire decoder of POST /v1/schedule, the L2 entry loader and the audit
+# oracle. ~42s total.
 FUZZTIME ?= 7s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadJSON -fuzztime $(FUZZTIME) ./internal/model
 	$(GO) test -run '^$$' -fuzz FuzzReadSTG -fuzztime $(FUZZTIME) ./internal/formats
 	$(GO) test -run '^$$' -fuzz FuzzParseTGFF -fuzztime $(FUZZTIME) ./internal/formats
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzDiskCacheGet -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz FuzzAudit -fuzztime $(FUZZTIME) ./internal/audit

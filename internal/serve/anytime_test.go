@@ -183,23 +183,17 @@ func TestAnytimeUnsupported(t *testing.T) {
 }
 
 // TestSharedStateRegistry: two cold runs of the same instance under
-// different options share one StateKey — the second must start warm from
-// the registry and still schedule bit-identically to a direct run.
+// different options on one worker each schedule bit-identically to a direct
+// run. Nothing crosses between the runs except the worker's pinned scratch,
+// whose caches are keyed by their complete input.
 func TestSharedStateRegistry(t *testing.T) {
 	svc := New(Config{Shards: 1, WorkersPerShard: 1})
 	defer svc.Close()
 	g, c := testGraph(t, 30, 907), testClusterP(16)
 
-	// Different LookAheadDepth → different fingerprints (two cold runs),
-	// same instance → same StateKey.
+	// Different LookAheadDepth → different fingerprints → two cold runs.
 	reqA := Request{Graph: g, Cluster: c}
 	reqB := Request{Graph: g, Cluster: c, Options: Options{LookAheadDepth: 10}}
-	ka, _ := reqA.StateKey()
-	kb, _ := reqB.StateKey()
-	if ka != kb {
-		t.Fatal("same instance produced different state keys")
-	}
-
 	sa, err := svc.Schedule(reqA)
 	if err != nil {
 		t.Fatal(err)
@@ -208,38 +202,13 @@ func TestSharedStateRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := svc.Stats()
-	if st.SharedStateMisses == 0 || st.SharedStateHits == 0 {
-		t.Fatalf("shared-state registry unused: %+v", st)
+	if st := svc.Stats(); st.Scheduled != 2 {
+		t.Fatalf("want two cold runs, got %+v", st)
 	}
-
-	// Warm-started schedules stay bit-identical to cold direct runs.
 	if d := equalSchedules(sa, directRun(t, reqA), len(g.Edges())); d != "" {
 		t.Errorf("first run diverged from direct: %s", d)
 	}
 	if d := equalSchedules(sb, directRun(t, reqB), len(g.Edges())); d != "" {
-		t.Errorf("warm-started run diverged from direct: %s", d)
-	}
-}
-
-// TestStateRegistryBound: the FIFO registry never exceeds its capacity.
-func TestStateRegistryBound(t *testing.T) {
-	var r stateRegistry
-	r.init(2)
-	mk := func(b byte) Key { var k Key; k[0] = b; return k }
-	st := &core.SharedState{}
-	for b := byte(1); b <= 5; b++ {
-		r.put(mk(b), st)
-	}
-	if len(r.m) != 2 || len(r.fifo) != 2 {
-		t.Fatalf("registry grew past its bound: %d entries", len(r.m))
-	}
-	if r.get(mk(1)) != nil || r.get(mk(5)) == nil {
-		t.Error("FIFO eviction order wrong: oldest should be gone, newest present")
-	}
-	// Refreshing an existing key must not consume a slot.
-	r.put(mk(5), st)
-	if len(r.fifo) != 2 {
-		t.Errorf("refresh consumed a FIFO slot: %d", len(r.fifo))
+		t.Errorf("second run diverged from direct: %s", d)
 	}
 }

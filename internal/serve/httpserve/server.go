@@ -264,26 +264,24 @@ func (s *Server) failSchedule(w http.ResponseWriter, ctx context.Context, err er
 // plus this HTTP layer's admission numbers. Field names are stable —
 // loadgen and ops tooling parse them.
 type NodeStats struct {
-	Requests          uint64 `json:"requests"`
-	CacheHits         uint64 `json:"cache_hits"`
-	Coalesced         uint64 `json:"coalesced"`
-	Scheduled         uint64 `json:"scheduled"`
-	Failed            uint64 `json:"failed"`
-	Rejected          uint64 `json:"rejected"`
-	Cancelled         uint64 `json:"cancelled"`
-	Completed         uint64 `json:"completed"`
-	SharedStateHits   uint64 `json:"shared_state_hits"`
-	SharedStateMisses uint64 `json:"shared_state_misses"`
-	L2Hits            uint64 `json:"l2_hits"`
-	L2Misses          uint64 `json:"l2_misses"`
-	L2Writes          uint64 `json:"l2_writes"`
-	Evictions         uint64 `json:"evictions"`
-	CacheEntries      int    `json:"cache_entries"`
-	Shards            int    `json:"shards"`
-	Workers           int    `json:"workers"`
-	UptimeNS          int64  `json:"uptime_ns"`
-	P50NS             int64  `json:"p50_ns"`
-	P99NS             int64  `json:"p99_ns"`
+	Requests     uint64 `json:"requests"`
+	CacheHits    uint64 `json:"cache_hits"`
+	Coalesced    uint64 `json:"coalesced"`
+	Scheduled    uint64 `json:"scheduled"`
+	Failed       uint64 `json:"failed"`
+	Rejected     uint64 `json:"rejected"`
+	Cancelled    uint64 `json:"cancelled"`
+	Completed    uint64 `json:"completed"`
+	L2Hits       uint64 `json:"l2_hits"`
+	L2Misses     uint64 `json:"l2_misses"`
+	L2Writes     uint64 `json:"l2_writes"`
+	Evictions    uint64 `json:"evictions"`
+	CacheEntries int    `json:"cache_entries"`
+	Shards       int    `json:"shards"`
+	Workers      int    `json:"workers"`
+	UptimeNS     int64  `json:"uptime_ns"`
+	P50NS        int64  `json:"p50_ns"`
+	P99NS        int64  `json:"p99_ns"`
 
 	// HTTP layer: Served counts 200s, Shed counts admission-control 503s
 	// (not including serve.ErrOverloaded rejections, which Rejected holds),
@@ -301,31 +299,29 @@ type NodeStats struct {
 func (s *Server) Stats() NodeStats {
 	st := s.svc.Stats()
 	return NodeStats{
-		Requests:          st.Requests,
-		CacheHits:         st.CacheHits,
-		Coalesced:         st.Coalesced,
-		Scheduled:         st.Scheduled,
-		Failed:            st.Failed,
-		Rejected:          st.Rejected,
-		Cancelled:         st.Cancelled,
-		Completed:         st.Completed,
-		SharedStateHits:   st.SharedStateHits,
-		SharedStateMisses: st.SharedStateMisses,
-		L2Hits:            st.L2Hits,
-		L2Misses:          st.L2Misses,
-		L2Writes:          st.L2Writes,
-		Evictions:         st.Evictions,
-		CacheEntries:      st.CacheEntries,
-		Shards:            st.Shards,
-		Workers:           st.Workers,
-		UptimeNS:          st.Uptime.Nanoseconds(),
-		P50NS:             st.P50.Nanoseconds(),
-		P99NS:             st.P99.Nanoseconds(),
-		Served:            s.served.Load(),
-		Shed:              s.shed.Load(),
-		Inflight:          s.inflight.Load(),
-		MaxInflight:       s.cfg.MaxInflight,
-		RespCacheHits:     s.respHits.Load(),
+		Requests:      st.Requests,
+		CacheHits:     st.CacheHits,
+		Coalesced:     st.Coalesced,
+		Scheduled:     st.Scheduled,
+		Failed:        st.Failed,
+		Rejected:      st.Rejected,
+		Cancelled:     st.Cancelled,
+		Completed:     st.Completed,
+		L2Hits:        st.L2Hits,
+		L2Misses:      st.L2Misses,
+		L2Writes:      st.L2Writes,
+		Evictions:     st.Evictions,
+		CacheEntries:  st.CacheEntries,
+		Shards:        st.Shards,
+		Workers:       st.Workers,
+		UptimeNS:      st.Uptime.Nanoseconds(),
+		P50NS:         st.P50.Nanoseconds(),
+		P99NS:         st.P99.Nanoseconds(),
+		Served:        s.served.Load(),
+		Shed:          s.shed.Load(),
+		Inflight:      s.inflight.Load(),
+		MaxInflight:   s.cfg.MaxInflight,
+		RespCacheHits: s.respHits.Load(),
 	}
 }
 

@@ -110,8 +110,9 @@ func (c *DiskCache) path(hex string) string { return filepath.Join(c.dir, hex+l2
 
 // Get implements SecondLevel: it loads and decodes the entry stored under
 // key against the request's graph. Every failure mode — absent file,
-// unreadable file, torn or drifted payload — is a miss; corrupt files are
-// deleted so they are rewritten rather than re-tripped-over.
+// unreadable file, torn or drifted payload, a cluster other than the
+// request's or a schedule that fails Validate — is a miss; corrupt files
+// are deleted so they are rewritten rather than re-tripped-over.
 func (c *DiskCache) Get(key Key, req Request) (*schedule.Schedule, bool, bool) {
 	hex := HexKey(key)
 	c.mu.Lock()
@@ -138,7 +139,17 @@ func (c *DiskCache) Get(key Key, req Request) (*schedule.Schedule, bool, bool) {
 		if !WireSchemaOK(wr.Schema) {
 			return nil, fmt.Errorf("schema %q", wr.Schema)
 		}
-		return wr.Schedule.ToSchedule(req.Graph)
+		s, err := wr.Schedule.ToSchedule(req.Graph)
+		if err != nil {
+			return nil, err
+		}
+		// A well-formed entry can still describe another instance or an
+		// impossible schedule; serving it would hand the caller a result
+		// no search produced for this request.
+		if s.Cluster != req.Cluster {
+			return nil, fmt.Errorf("cluster %+v, want %+v", s.Cluster, req.Cluster)
+		}
+		return s, s.Validate(req.Graph)
 	}()
 	if err != nil {
 		c.drop(hex, true)
@@ -165,18 +176,7 @@ func (c *DiskCache) Put(key Key, req Request, s *schedule.Schedule, truncated bo
 		return
 	}
 	data = append(data, '\n')
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), c.path(hex)); err != nil {
-		os.Remove(tmp.Name())
+	if !c.writeAtomic(c.path(hex), data) {
 		return
 	}
 	c.puts.Add(1)
@@ -244,20 +244,25 @@ func (c *DiskCache) PutWinner(key Key, engine string) {
 	if err != nil {
 		return
 	}
-	data = append(data, '\n')
+	c.writeAtomic(c.winnerPath(HexKey(key)), append(data, '\n'))
+}
+
+// writeAtomic installs data at path via a temp file in the cache directory
+// and a rename, so readers never observe a torn file. It reports whether
+// the file was installed; on failure the temp file is removed and nothing
+// else is reported — callers treat an unwritable cache as a smaller one.
+func (c *DiskCache) writeAtomic(path string, data []byte) bool {
 	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
 	if err != nil {
-		return
+		return false
 	}
 	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
+	if werr != nil || cerr != nil || os.Rename(tmp.Name(), path) != nil {
 		os.Remove(tmp.Name())
-		return
+		return false
 	}
-	if err := os.Rename(tmp.Name(), c.winnerPath(HexKey(key))); err != nil {
-		os.Remove(tmp.Name())
-	}
+	return true
 }
 
 // drop removes one entry from the index and disk (after a read failure or

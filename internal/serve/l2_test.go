@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,7 +107,34 @@ func TestDiskCacheCorruptionTolerated(t *testing.T) {
 	}
 	dc.Put(key, req, s, false)
 	path := filepath.Join(dir, HexKey(key)+l2Suffix)
-	for _, garbage := range []string{"", "{", `{"schema":"locmps/wire/v999"}`, `{"schema":"locmps/wire/v1","schedule":{"algorithm":"x","cluster":{"p":1,"bandwidth":1},"placements":[],"comm":[]}}`} {
+	// Well-formed entries with the right placement and comm counts that
+	// still must not be served: a foreign cluster, an out-of-range
+	// processor, or both (the entry decodes against the graph, and only
+	// the cluster check and Validate tell it apart from a real one).
+	tampered := func(edit func(*WireResponse)) string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wr WireResponse
+		if err := json.Unmarshal(data, &wr); err != nil {
+			t.Fatal(err)
+		}
+		edit(&wr)
+		out, err := json.Marshal(&wr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	foreignCluster := tampered(func(wr *WireResponse) { wr.Schedule.Cluster.P = 2 })
+	badProc := tampered(func(wr *WireResponse) { wr.Schedule.Placements[0].Procs = []int{9999} })
+	both := tampered(func(wr *WireResponse) {
+		wr.Schedule.Cluster.P = 2
+		wr.Schedule.Placements[0].Procs = []int{9999}
+	})
+	for _, garbage := range []string{"", "{", `{"schema":"locmps/wire/v999"}`, `{"schema":"locmps/wire/v1","schedule":{"algorithm":"x","cluster":{"p":1,"bandwidth":1},"placements":[],"comm":[]}}`,
+		foreignCluster, badProc, both} {
 		if err := os.WriteFile(path, []byte(garbage), 0o644); err != nil {
 			t.Fatal(err)
 		}

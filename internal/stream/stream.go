@@ -562,19 +562,7 @@ func (s *Sim) applyFailure(f Fail) bool {
 // incremental mode the per-job tables are concatenated and adopted so
 // the union never re-evaluates a speedup profile.
 func (s *Sim) combine(actives []int) (*model.TaskGraph, []int, error) {
-	var tasks []model.Task
-	var edges []model.Edge
-	offsets := make([]int, len(actives))
-	for i, ai := range actives {
-		off := len(tasks)
-		offsets[i] = off
-		tg := s.jobs[ai].job.TG
-		tasks = append(tasks, tg.Tasks...)
-		for _, e := range tg.Edges() {
-			edges = append(edges, model.Edge{From: e.From + off, To: e.To + off, Volume: e.Volume})
-		}
-	}
-	union, err := model.NewTaskGraph(tasks, edges)
+	union, offsets, err := disjointUnion(s.graphs(actives))
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream: union graph: %w", err)
 	}
@@ -707,19 +695,7 @@ func (s *Sim) remap(newActive []int) error {
 // endState assembles the final schedule of every job on the union of all
 // jobs' graphs in arrival order.
 func (s *Sim) endState() (*schedule.Schedule, *model.TaskGraph, error) {
-	var tasks []model.Task
-	var edges []model.Edge
-	offsets := make([]int, len(s.order))
-	for i, ai := range s.order {
-		off := len(tasks)
-		offsets[i] = off
-		tg := s.jobs[ai].job.TG
-		tasks = append(tasks, tg.Tasks...)
-		for _, e := range tg.Edges() {
-			edges = append(edges, model.Edge{From: e.From + off, To: e.To + off, Volume: e.Volume})
-		}
-	}
-	union, err := model.NewTaskGraph(tasks, edges)
+	union, offsets, err := disjointUnion(s.graphs(s.order))
 	if err != nil {
 		return nil, nil, fmt.Errorf("stream: end-state graph: %w", err)
 	}
@@ -760,20 +736,43 @@ func UnionGraph(jobs []Job) (*model.TaskGraph, error) {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(a, b int) bool { return jobs[order[a]].Arrival < jobs[order[b]].Arrival })
-	var tasks []model.Task
-	var edges []model.Edge
-	for _, ji := range order {
-		tg := jobs[ji].TG
-		if tg == nil {
+	graphs := make([]*model.TaskGraph, len(order))
+	for i, ji := range order {
+		if jobs[ji].TG == nil {
 			return nil, fmt.Errorf("stream: job %d has no task graph", ji)
 		}
+		graphs[i] = jobs[ji].TG
+	}
+	union, _, err := disjointUnion(graphs)
+	return union, err
+}
+
+// graphs lists the task graphs of the given jobs, in order.
+func (s *Sim) graphs(jobs []int) []*model.TaskGraph {
+	out := make([]*model.TaskGraph, len(jobs))
+	for i, ji := range jobs {
+		out[i] = s.jobs[ji].job.TG
+	}
+	return out
+}
+
+// disjointUnion builds the disjoint union of graphs in the given order:
+// graph i's tasks are renumbered from offsets[i] and its edges shift with
+// them.
+func disjointUnion(graphs []*model.TaskGraph) (*model.TaskGraph, []int, error) {
+	var tasks []model.Task
+	var edges []model.Edge
+	offsets := make([]int, len(graphs))
+	for i, tg := range graphs {
 		off := len(tasks)
+		offsets[i] = off
 		tasks = append(tasks, tg.Tasks...)
 		for _, e := range tg.Edges() {
 			edges = append(edges, model.Edge{From: e.From + off, To: e.To + off, Volume: e.Volume})
 		}
 	}
-	return model.NewTaskGraph(tasks, edges)
+	union, err := model.NewTaskGraph(tasks, edges)
+	return union, offsets, err
 }
 
 func clonePlacement(pl schedule.Placement) schedule.Placement {
